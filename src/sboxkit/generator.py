@@ -18,12 +18,25 @@ Each iteration swaps table[I] and table[J], recomputes the nonlinearity
 objective, and reverts the swap unless the objective strictly increased, so
 the objective trace is monotone and the table stays a permutation.
 
+That sequential accept/revert loop is the definition; `refine_sbox` computes
+it in blocks.  The schedule depends only on c, d, e, f, and a rejected swap
+leaves the table as it was, so every swap of a block of upcoming schedule
+entries can be scored on its own against the current table: the first one
+that beats the objective is exactly the swap the loop would accept next, and
+scoring restarts at the entry after it.  No transform is recomputed: swapping
+positions i and j changes the spectrum of each tracked component b by the
+rank-one term (s_b(j) - s_b(i)) * (H[i] - H[j]), with s_b the component's
++-1 signs and H the 256x256 Hadamard matrix (Millan, ACISP 1998; Millan,
+Clark and Dawson, EUROCRYPT 1998).
+
 The recurrences are guarded: the state is clamped to >= 1e-12 before the log
 terms, and if |cos(x)| < 1e-12 the state is nudged by 1e-9 before taking the
 reciprocal.  Both stages are deterministic functions of the key.
 """
 
 import enum
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +50,7 @@ from .errors import (
     ParamOutOfRange,
 )
 from .maps import RESEED, BranchMode, MapKind, MapParams, map_step, renormalize, round15
-from .metrics import as_sbox, fwht, mask_sign_matrix
+from .metrics import COORD_MASKS, _nl_from_spectra, as_sbox, fwht, mask_sign_matrix
 
 # Key field ranges: (low, high, integer). All bounds are exclusive.
 KEY_RANGES = {
@@ -68,12 +81,34 @@ _STALL_LIMIT = 10**6
 
 def _check_key_field(name: str, value) -> None:
     lo, hi, integer = KEY_RANGES[name]
+    if isinstance(value, (bool, np.bool_)):
+        raise ParamOutOfRange(f"key field {name} must be a number, got {value!r}")
     if integer and not isinstance(value, (int, np.integer)):
         raise ParamOutOfRange(f"key field {name} must be an integer, got {value!r}")
     if not (lo < value < hi):
         raise ParamOutOfRange(
             f"key field {name} must lie in ({lo:g}, {hi:g}), got {value!r}"
         )
+
+
+def _key_field_value(name: str, raw):
+    """Convert one JSON key field exactly, never truncating or coercing bools.
+
+    Integer fields take integers, integral floats and integer strings; reals
+    take numbers and decimal strings (which preserve all 15 digits).
+    """
+    integer = KEY_RANGES[name][2]
+    if isinstance(raw, bool):
+        raise ParamOutOfRange(f"key field {name} must be a number, got {raw!r}")
+    try:
+        if not integer:
+            return float(raw)
+        if isinstance(raw, float) and not raw.is_integer():
+            raise ValueError
+        return int(raw)
+    except (TypeError, ValueError):
+        kind = "an integer" if integer else "a number"
+        raise ParamOutOfRange(f"key field {name} must be {kind}, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,12 +144,7 @@ class KeySpec:
         extra = [k for k in data if k not in KEY_RANGES]
         if extra:
             raise ParamOutOfRange(f"key object has unknown fields: {', '.join(extra)}")
-        kwargs = {}
-        for name, (_, _, integer) in KEY_RANGES.items():
-            raw = data[name]
-            # reals may arrive as decimal strings to preserve all 15 digits
-            kwargs[name] = int(raw) if integer else float(raw)
-        return cls(**kwargs)
+        return cls(**{name: _key_field_value(name, data[name]) for name in KEY_RANGES})
 
 
 class Objective(enum.Enum):
@@ -207,30 +237,32 @@ def _index_step(offset: int, state: float, reciprocal: bool) -> tuple:
     return abs(v % 256.0), _round_int(v) % 256
 
 
-def _make_objective(table: np.ndarray, objective: Objective):
-    """Return (evaluate, swap_columns) closures over a maintained sign matrix.
+# Per objective: tracked output masks, how their nonlinearities aggregate,
+# and how many scheduled swaps are scored per block.  A block holds
+# block x len(masks) x 256 candidate spectrum cells, so the 255-mask
+# objective takes small blocks.
+_OBJECTIVES = {
+    Objective.SUM_COORDINATE_NL: (COORD_MASKS, np.sum, 64),
+    Objective.MIN_COORDINATE_NL: (COORD_MASKS, np.min, 64),
+    Objective.FULL_SPECTRUM_NL: (np.arange(1, 256), np.min, 4),
+}
 
-    The sign matrix has one row per tracked output mask and one column per
-    input; swapping two table entries permutes two columns, so the matrix is
-    maintained incrementally and the objective is a batch Walsh transform.
-    """
-    if objective is Objective.FULL_SPECTRUM_NL:
-        masks = np.arange(1, 256)
-        agg = np.min
-    else:
-        masks = np.array([1 << k for k in range(8)])
-        agg = np.sum if objective is Objective.SUM_COORDINATE_NL else np.min
-    signs = mask_sign_matrix(table, masks)
 
-    def evaluate() -> int:
-        w = fwht(signs)
-        nls = (256 - np.abs(w).max(axis=1)) // 2
-        return int(agg(nls))
+@functools.lru_cache(maxsize=None)
+def _hadamard() -> np.ndarray:
+    """The 256x256 Hadamard matrix, H[i, a] = (-1)^(i.a), built on first use."""
+    h = fwht(np.eye(256, dtype=np.int32)).astype(np.int16)
+    h.flags.writeable = False  # one shared instance
+    return h
 
-    def swap_columns(i: int, j: int) -> None:
-        signs[:, [i, j]] = signs[:, [j, i]]
 
-    return evaluate, swap_columns
+def _swap_schedule(c: int, d: int, e: float, f: float, budget: int):
+    """Yield the budget's (I, J) swap pairs; they depend on the key alone."""
+    x, y = float(e), float(f)
+    for _ in range(budget):
+        x, i = _index_step(c, x, reciprocal=True)
+        y, j = _index_step(d, y, reciprocal=False)
+        yield i, j
 
 
 def refine_sbox(box, c: int, d: int, e: float, f: float,
@@ -248,25 +280,38 @@ def refine_sbox(box, c: int, d: int, e: float, f: float,
     _check_key_field("e", e)
     _check_key_field("f", f)
 
-    evaluate, swap_columns = _make_objective(table, config.objective)
-    best = evaluate()
-    initial = best
+    masks, agg, block = _OBJECTIVES[config.objective]
+    hadamard = _hadamard()
+    signs = mask_sign_matrix(table, masks).astype(np.int16)
+    walsh = fwht(signs).astype(np.int16)
+    best = initial = int(agg(_nl_from_spectra(walsh)))
     accepted = 0
-    x, y = float(e), float(f)
-    for _ in range(config.budget):
-        x, i = _index_step(c, x, reciprocal=True)
-        y, j = _index_step(d, y, reciprocal=False)
-        if i == j:
+    schedule = _swap_schedule(c, d, e, f, config.budget)
+    pending = []
+    while True:
+        pending += itertools.islice(schedule, block - len(pending))
+        if not pending:
+            break
+        i, j = np.array(pending).T
+        # rank-one update of every tracked spectrum, one candidate per pair;
+        # an i == j entry scores the current table and is never accepted,
+        # just as the loop skips it
+        delta = (signs[:, j] - signs[:, i]).T
+        cand = walsh + delta[:, :, None] * (hadamard[i] - hadamard[j])[:, None, :]
+        nls = _nl_from_spectra(cand.reshape(-1, 256)).reshape(len(pending), -1)
+        scores = agg(nls, axis=1)
+        hits = np.flatnonzero(scores > best)
+        if not hits.size:
+            pending.clear()
             continue
-        table[i], table[j] = table[j], table[i]
-        swap_columns(i, j)
-        cand = evaluate()
-        if cand > best:
-            best = cand
-            accepted += 1
-        else:
-            table[i], table[j] = table[j], table[i]
-            swap_columns(i, j)
+        k = int(hits[0])
+        p, q = int(i[k]), int(j[k])
+        table[p], table[q] = table[q], table[p]
+        signs[:, [p, q]] = signs[:, [q, p]]
+        walsh = cand[k].copy()
+        best = int(scores[k])
+        accepted += 1
+        del pending[:k + 1]
     return table, RefineStats(config.budget, accepted, initial, best)
 
 

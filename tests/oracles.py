@@ -1,11 +1,23 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
-Everything here follows the metric definitions directly (enumeration and
-counting).  None of it uses the fast Walsh transform, so agreement with the
-library is a genuine two-route check.
+The metric oracles follow the definitions directly (enumeration and
+counting).  None of them uses the fast Walsh transform, so agreement with the
+library is a genuine two-route check.  `refine_reference` is the defining
+sequential hill climb: one full transform per scheduled swap, reverted unless
+the objective strictly improves.  The library's block-scored climb must match
+it exactly.
 """
 
 import numpy as np
+
+from sboxkit.generator import (
+    Objective,
+    RefineConfig,
+    RefineStats,
+    _check_key_field,
+    _index_step,
+)
+from sboxkit.metrics import as_sbox, fwht, mask_sign_matrix
 
 
 def parity(v: int) -> int:
@@ -89,3 +101,60 @@ def ddt_direct(box) -> np.ndarray:
 
 def du_direct(box) -> int:
     return int(ddt_direct(box)[1:].max())
+
+
+def _make_objective(table: np.ndarray, objective: Objective):
+    """Return (evaluate, swap_columns) closures over a maintained sign matrix.
+
+    The sign matrix has one row per tracked output mask and one column per
+    input; swapping two table entries permutes two columns, so the matrix is
+    maintained incrementally and the objective is a batch Walsh transform.
+    """
+    if objective is Objective.FULL_SPECTRUM_NL:
+        masks = np.arange(1, 256)
+        agg = np.min
+    else:
+        masks = np.array([1 << k for k in range(8)])
+        agg = np.sum if objective is Objective.SUM_COORDINATE_NL else np.min
+    signs = mask_sign_matrix(table, masks)
+
+    def evaluate() -> int:
+        w = fwht(signs)
+        nls = (256 - np.abs(w).max(axis=1)) // 2
+        return int(agg(nls))
+
+    def swap_columns(i: int, j: int) -> None:
+        signs[:, [i, j]] = signs[:, [j, i]]
+
+    return evaluate, swap_columns
+
+
+def refine_reference(box, c: int, d: int, e: float, f: float,
+                     config: RefineConfig = RefineConfig()) -> tuple:
+    """Sequential hill climb: swap, re-transform, keep only strict gains."""
+    table = as_sbox(box).copy()
+    _check_key_field("c", c)
+    _check_key_field("d", d)
+    _check_key_field("e", e)
+    _check_key_field("f", f)
+
+    evaluate, swap_columns = _make_objective(table, config.objective)
+    best = evaluate()
+    initial = best
+    accepted = 0
+    x, y = float(e), float(f)
+    for _ in range(config.budget):
+        x, i = _index_step(c, x, reciprocal=True)
+        y, j = _index_step(d, y, reciprocal=False)
+        if i == j:
+            continue
+        table[i], table[j] = table[j], table[i]
+        swap_columns(i, j)
+        cand = evaluate()
+        if cand > best:
+            best = cand
+            accepted += 1
+        else:
+            table[i], table[j] = table[j], table[i]
+            swap_columns(i, j)
+    return table, RefineStats(config.budget, accepted, initial, best)

@@ -80,6 +80,19 @@ def test_generate_key_json_inline_and_file(tmp_path):
     assert flagged.read_bytes() == out1.read_bytes()
 
 
+@pytest.mark.parametrize("field, value", [("b", 7317130.9), ("c", 1.999), ("c", True)])
+def test_generate_key_json_rejects_inexact_fields(tmp_path, field, value):
+    key = {"x0": "0.442637767848956", "a": "1.0", "b": 7317130,
+           "c": 731713, "d": 167527, "e": "0.442637767848956",
+           "f": "0.372463939884994", field: value}
+    out = tmp_path / "x.sbox"
+    res = run_cli("generate", "--key-json", json.dumps(key),
+                  "--budget", "64", "--out", out)
+    assert res.returncode == 1
+    assert f"key field {field}" in res.stderr
+    assert not out.exists()
+
+
 def test_generate_deterministic_artifacts(tmp_path):
     out, rep = tmp_path / "a.sbox", tmp_path / "a.json"
     artifacts = []

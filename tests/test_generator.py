@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -5,6 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from sboxkit import (
     BranchMode,
@@ -21,9 +26,11 @@ from sboxkit import (
     refine_sbox,
     sbox_nonlinearity,
 )
-from sboxkit.generator import _index_step
+from sboxkit.generator import _OBJECTIVES, _index_step
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "generator_golden.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "generator_golden.json").read_text())
+GOLDEN_OBJECTIVES = json.loads((GOLDEN_DIR / "generator_golden_objectives.json").read_text())
 
 
 def random_key(rng: random.Random) -> KeySpec:
@@ -58,6 +65,27 @@ def test_keyspec_from_dict_accepts_decimal_strings():
     })
     assert key.x0 == 0.442637767848956
     assert key.b == 7317130
+
+
+@pytest.mark.parametrize("field, value", [
+    ("b", 7317130.9), ("c", 1.999), ("d", "167527.5"),
+    ("c", True), ("b", False), ("x0", True), ("e", True),
+])
+def test_keyspec_from_dict_rejects_inexact_fields(field, value):
+    base = dict(GOLDEN["key"])
+    with pytest.raises(ParamOutOfRange, match=f"key field {field}"):
+        KeySpec.from_dict(dict(base, **{field: value}))
+
+
+def test_keyspec_from_dict_accepts_integral_values():
+    key = KeySpec.from_dict(dict(GOLDEN["key"], b=7317130.0, c="731713"))
+    assert (key.b, key.c) == (7317130, 731713)
+    assert isinstance(key.b, int)
+
+
+def test_keyspec_rejects_booleans():
+    with pytest.raises(ParamOutOfRange, match="key field c"):
+        KeySpec(x0=1.0, a=1.0, b=2_000_000, c=True, d=7, e=0.5, f=0.5)
 
 
 def test_keyspec_from_dict_rejects_bad_shape():
@@ -165,6 +193,51 @@ def test_refine_deterministic():
     b, sb = refine_sbox(box, 11, 13, 0.4, 0.6, RefineConfig(budget=512))
     assert np.array_equal(a, b)
     assert sa == sb
+
+
+@pytest.mark.parametrize("case", GOLDEN_OBJECTIVES["cases"],
+                         ids=lambda case: case["refine"]["objective"])
+def test_refine_golden_objectives(case):
+    key = GOLDEN_OBJECTIVES["key"]
+    box = initial_sbox(float(key["x0"]), float(key["a"]), key["b"],
+                       BranchMode(GOLDEN_OBJECTIVES["branch_mode"]))
+    assert box.tolist() == GOLDEN_OBJECTIVES["initial_table"]
+    config = RefineConfig(budget=case["refine"]["budget"],
+                          objective=Objective(case["refine"]["objective"]))
+    out, stats = refine_sbox(box, key["c"], key["d"], float(key["e"]),
+                             float(key["f"]), config)
+    assert out.tolist() == case["refined_table"]
+    assert dataclasses.asdict(stats) == case["refine_stats"]
+
+
+# The sequential reference pays one transform per attempt, so budgets are
+# capped lower for the 255-mask objective.
+_BUDGET_CAPS = {
+    Objective.SUM_COORDINATE_NL: 2000,
+    Objective.MIN_COORDINATE_NL: 2000,
+    Objective.FULL_SPECTRUM_NL: 200,
+}
+
+
+def _refine_case(objective: Objective):
+    block = _OBJECTIVES[objective][2]
+    budgets = st.one_of(st.sampled_from([0, 1, block - 1, block, block + 1]),
+                        st.integers(0, _BUDGET_CAPS[objective]))
+    return st.tuples(st.just(objective), budgets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(list(Objective)).flatmap(_refine_case))
+def test_refine_matches_sequential_reference(seed, case):
+    objective, budget = case
+    key = random_key(random.Random(seed))
+    box = initial_sbox(key.x0, key.a, key.b)
+    config = RefineConfig(budget=budget, objective=objective)
+    out, stats = refine_sbox(box, key.c, key.d, key.e, key.f, config)
+    ref, ref_stats = oracles.refine_reference(box, key.c, key.d, key.e, key.f, config)
+    assert out.tolist() == ref.tolist()
+    assert stats == ref_stats
 
 
 def test_refine_validates_ranges():
