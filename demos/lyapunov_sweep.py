@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sboxkit import MapKind, MapParams, lyapunov
-from sboxkit.reporting import format_real
+from sboxkit import MapKind, MapParams, lyapunov, lyapunov_sweep
+from sboxkit.reporting import write_param_csv
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_output")
 out_dir.mkdir(parents=True, exist_ok=True)
@@ -33,16 +33,10 @@ sweeps = [
     ("primary", MapKind.AHYB, 0.05, 1.95),
 ]
 for name, kind, lo, hi in sweeps:
-    rows = []
-    for p in np.linspace(lo, hi, 60):
-        le = lyapunov(MapParams(kind, float(p)), 0.3, 300, 20_000)
-        rows.append((float(p), le))
+    params = np.linspace(lo, hi, 60)
+    les = lyapunov_sweep(kind, params, 0.3, 300, 20_000)
     path = out_dir / f"lyapunov_{name}.csv"
-    with path.open("w") as fh:
-        fh.write("param,le\n")
-        for p, le in rows:
-            fh.write(f"{format_real(p)},{format_real(le)}\n")
-    les = np.array([le for _, le in rows])
+    write_param_csv(path, "le", np.column_stack((params, les)))
     positive = int((les > 0).sum())
     print(f"  {name:9s} -> {path}   LE range [{les.min():+.3f}, {les.max():+.3f}], "
           f"{positive}/60 positive")

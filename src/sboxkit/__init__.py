@@ -17,7 +17,6 @@ bifurcate, lyapunov).
 __version__ = "0.1.0"
 
 from .errors import (
-    DegenerateOrbit,
     DegenerateOrbitWarning,
     DerivativeSkipWarning,
     DerivativeZero,
@@ -37,6 +36,7 @@ from .maps import (
     bifurcation_scan,
     iterate,
     lyapunov,
+    lyapunov_sweep,
     map_derivative,
     map_step,
     renormalize,

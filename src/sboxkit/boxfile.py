@@ -81,6 +81,8 @@ def parse_grid(text: str, fmt: BoxFormat = BoxFormat.DECIMAL_GRID) -> np.ndarray
                 f"{len(data) if isinstance(data, list) else 'n/a'}"
             )
         for idx, v in enumerate(data):
+            if isinstance(v, bool):  # bool is an int subclass, not a byte
+                raise ParseError(f"value {v!r} at index {idx} is not an integer")
             if not isinstance(v, int) or not 0 <= v <= 255:
                 raise ParseError(f"value {v!r} out of range [0, 255] at index {idx}")
         return np.array(data, dtype=np.uint8)

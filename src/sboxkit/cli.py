@@ -26,11 +26,12 @@ from .reporting import (
     comparison_markdown,
     deltas_section,
     format_real,
+    markdown_row,
     nl_summary_line,
     render_report_text,
     report_json,
-    report_to_dict,
     run_manifest,
+    write_param_csv,
 )
 
 _KEY_FLAGS = ("x0", "a", "b", "c", "d", "e", "f")
@@ -106,12 +107,7 @@ def _cmd_analyze(args) -> int:
         })
         sys.stdout.write(report_json(report, manifest))
     elif args.md:
-        d = report_to_dict(report)
-        cells = [str(d["nl_min"]), str(d["nl_max"]), f"{d['nl_avg']:g}",
-                 f"{d['sac_avg']:.4f}", f"{d['sac_offset']:.4f}",
-                 f"{d['bic_nl_avg']:g}", f"{d['lp']:g}", f"{d['dp']:g}",
-                 str(d["fixed_point_count"])]
-        print("| " + Path(str(args.path)).name + " | " + " | ".join(cells) + " |")
+        print(markdown_row(report, args.path))
     else:
         sys.stdout.write(render_report_text(report))
     return 0
@@ -156,14 +152,7 @@ def _cmd_bifurcate(args) -> int:
         x0=args.x0, transient=args.transient, samples=args.samples,
         branch_mode=BranchMode(args.branch_mode),
     )
-    lines = ["param,x"]
-    for p, x in points:
-        lines.append(f"{format_real(p)},{format_real(x)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    write_param_csv(args.out, "x", points, args.samples)
     return 0
 
 
@@ -180,16 +169,13 @@ def _cmd_lyapunov(args) -> int:
         return 0
     if args.param_lo is None or args.param_hi is None:
         raise ParamOutOfRange("sweep needs both --param-lo and --param-hi")
-    lines = ["param,le"]
-    for p in np.linspace(args.param_lo, args.param_hi, args.steps):
-        value = lyapunov(MapParams(kind, float(p), branch_mode),
-                         args.x0, args.transient, args.n)
-        lines.append(f"{format_real(p)},{format_real(value)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # One `lyapunov` call per value rather than `maps.lyapunov_sweep`: the
+    # benchmark's traced mode (perfbench/spans.py) times Lyapunov work by
+    # wrapping `cli.lyapunov`.  See ROADMAP item 2(b).
+    values = np.linspace(args.param_lo, args.param_hi, args.steps)
+    exponents = [lyapunov(MapParams(kind, float(p), branch_mode),
+                          args.x0, args.transient, args.n) for p in values]
+    write_param_csv(args.out, "le", np.column_stack((values, exponents)))
     return 0
 
 

@@ -13,10 +13,6 @@ class NonFiniteState(SBoxKitError, ArithmeticError):
     """A chaotic state or derived value became NaN or infinite."""
 
 
-class DegenerateOrbit(SBoxKitError, RuntimeError):
-    """An orbit collapsed onto an absorbing state it cannot leave."""
-
-
 class DerivativeZero(SBoxKitError, ArithmeticError):
     """Too many Lyapunov samples had a numerically zero derivative."""
 

@@ -38,18 +38,16 @@ import enum
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DegenerateOrbitWarning,
     GenerationStall,
     NumericGuardTripped,
     ParamOutOfRange,
 )
-from .maps import RESEED, BranchMode, MapKind, MapParams, map_step, renormalize, round15
+from .maps import BranchMode, MapKind, MapParams, _advance, round15
 from .metrics import COORD_MASKS, _nl_from_spectra, as_sbox, fwht, mask_sign_matrix
 
 # Key field ranges: (low, high, integer). All bounds are exclusive.
@@ -196,14 +194,7 @@ def initial_sbox(x0: float, a: float, b: int,
     misses = 0
     x = float(x0)
     while placed < 256:
-        x = renormalize(map_step(params, x))
-        if x == 0.0:
-            warnings.warn(
-                "folded state hit 0 exactly; reseeding to 1e-12",
-                DegenerateOrbitWarning,
-                stacklevel=2,
-            )
-            x = RESEED
+        x = _advance(params, x, fold=True)
         v = _round_int(x * b) % 256
         if seen[v]:
             misses += 1

@@ -26,9 +26,29 @@ generator pseudocode) are both available via ``BranchMode``.
 
 Everything here is a pure function of its arguments: same inputs, bit-identical
 outputs on one platform.
+
+Single orbits (``map_step``, ``iterate``, ``lyapunov``) are scalar Python
+loops.  Sweeps over the control parameter (``bifurcation_scan``,
+``lyapunov_sweep``) advance every parameter's orbit in lockstep as one
+float64 array per time step, and give the same bits as a loop of single
+orbits.  That holds because each array operation performs the same IEEE
+operation on every element as the scalar code: ``*``, ``+``, ``-``, ``abs``,
+``floor``, ``% 1.0``, and numpy's ``sin``/``cos``, which agree with libm on
+every input tried (millions, up to |x| ~ 1e300).  Two functions do not:
+numpy's float64 ``power`` differs from libm ``pow`` on about 5% of inputs in
+[1.5, 3), and ``np.log`` from libm ``log`` on about 0.1%.  A one-ulp gap is
+amplified by the chaotic orbit, so the AHYB middle branch (``x**0.9`` and
+its derivative ``0.9 * x**-0.1``) is computed with Python floats on just the
+elements in [1.5, 3), and Lyapunov terms with ``math.log``.  Each sweep
+estimate adds its log terms strictly in step order, as the scalar loop does.
+Lockstep never raises or warns itself: a sweep narrower than
+``_LOCKSTEP_MIN_WIDTH``, or one in which any orbit would warn or fail, is
+run as one scalar call per parameter instead, which warns and raises as the
+scalar code does.
 """
 
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -77,11 +97,27 @@ PARAM_RANGES = {
 }
 
 
-def check_param(kind: MapKind, control: float) -> None:
-    """Raise ParamOutOfRange unless `control` is in the declared range."""
+# Cells (time steps x parameters) of a Lyapunov sweep's derivative buffer;
+# bounds the sweep's memory whatever n is.
+_CHUNK_CELLS = 1 << 16
+
+# Narrowest sweep that is stepped in lockstep.  Each lockstep step costs a
+# fixed ~20 numpy calls (AHYB) or a few (reference maps), so narrower sweeps
+# run faster as a loop of single orbits; the widths are where the two broke
+# even on a 2-core x86-64 machine (Python 3.11, numpy 2.4).
+_LOCKSTEP_MIN_WIDTH = {MapKind.AHYB: 24, MapKind.LOGISTIC: 8, MapKind.SINE: 8}
+
+
+def _in_range(kind: MapKind, control: float) -> bool:
     lo, hi, hi_inclusive = PARAM_RANGES[kind]
     ok = control > lo and (control <= hi if hi_inclusive else control < hi)
-    if not (math.isfinite(control) and ok):
+    return math.isfinite(control) and ok
+
+
+def check_param(kind: MapKind, control: float) -> None:
+    """Raise ParamOutOfRange unless `control` is in the declared range."""
+    if not _in_range(kind, control):
+        lo, hi, hi_inclusive = PARAM_RANGES[kind]
         bracket = "]" if hi_inclusive else ")"
         raise ParamOutOfRange(
             f"{kind.value} control parameter must lie in ({lo:g}, {hi:g}{bracket}, "
@@ -204,6 +240,80 @@ def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> 
     return out
 
 
+def _libm_pow(x: np.ndarray, exponent: float) -> np.ndarray:
+    """x ** exponent elementwise through libm pow, as the scalar code computes it."""
+    return np.fromiter(map(pow, x.tolist(), itertools.repeat(exponent)), np.float64, x.size)
+
+
+class _Orbits:
+    """Orbits of one map at many control values, advanced in lockstep.
+
+    Element k performs exactly the float operations of `_advance` (and of
+    `map_derivative`) at control value a[k]; see the module docstring.
+    Nothing is raised or warned here.  A non-finite value stays non-finite
+    in every later state (NaN or inf in, NaN or inf out), so a non-finite
+    final state marks an orbit that the scalar code would have stopped, and
+    `reseeded` records that some orbit would have warned.
+    """
+
+    def __init__(self, kind: MapKind, a: np.ndarray, x0: float, branch_mode: BranchMode):
+        self.kind = kind
+        self.a = a
+        self.alg1 = branch_mode is BranchMode.ALGORITHM1
+        self.two_plus_a = 2.0 + a
+        self.a_pi = a * math.pi
+        self.x = np.full(a.shape, float(x0))
+        self.reseeded = False
+
+    def step(self) -> None:
+        """Advance every orbit by one `_advance`."""
+        x, a = self.x, self.a
+        if self.kind is MapKind.AHYB:
+            low = x < 1.5
+            y = np.where(low, self.two_plus_a * x, a - x if self.alg1 else x * (a - x))
+            mid = (~low & (x < 3.0)).nonzero()[0]
+            y[mid] = a[mid] + _libm_pow(x[mid], 0.9)
+            # round15 is odd, so |round15(y)| is floor(|y| * 1e15 + 0.5) / 1e15.
+            x = 4.0 * (np.floor(np.abs(y) * 1e15 + 0.5) / 1e15 % 1.0)
+            if np.count_nonzero(x) < x.size:
+                x[x == 0.0] = RESEED
+                self.reseeded = True
+        elif self.kind is MapKind.LOGISTIC:
+            x = a * x * (1.0 - x)
+        else:
+            x = a * np.sin(np.pi * x)
+        self.x = x
+
+    def abs_derivative(self, states: np.ndarray) -> np.ndarray:
+        """|map_derivative| at `states`, an array whose rows are states of all orbits."""
+        a = self.a
+        if self.kind is MapKind.AHYB:
+            low = states < 1.5
+            d = np.where(low, self.two_plus_a, -1.0 if self.alg1 else a - 2.0 * states)
+            mid = ~low & (states < 3.0)
+            d[mid] = 0.9 * _libm_pow(states[mid], -0.1)
+        elif self.kind is MapKind.LOGISTIC:
+            d = a * (1.0 - 2.0 * states)
+        else:
+            d = self.a_pi * np.cos(np.pi * states)
+        return np.abs(d)
+
+
+def _scan_lockstep(kind, values, x0, transient, samples, branch_mode):
+    """The (samples, len(values)) states of a scan, or None if any orbit warns or fails."""
+    orbits = _Orbits(kind, values, x0, branch_mode)
+    states = np.empty((samples, len(values)), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        for _ in range(transient):
+            orbits.step()
+        for row in states:
+            orbits.step()
+            row[:] = orbits.x
+    if orbits.reseeded or not np.isfinite(orbits.x).all():
+        return None
+    return states
+
+
 def bifurcation_scan(
     kind: MapKind,
     param_lo: float,
@@ -218,7 +328,9 @@ def bifurcation_scan(
 
     Returns an (steps * samples, 2) array with columns (param, state),
     ordered by (param, iteration index).  steps == 1 degenerates to a single
-    iterate at param_lo.
+    iterate at param_lo.  States, warnings and errors equal those of
+    `iterate` called once per parameter; wide scans step every orbit in
+    lockstep.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -230,12 +342,16 @@ def bifurcation_scan(
         )
     values = np.linspace(param_lo, param_hi, steps)
     out = np.empty((steps * samples, 2), dtype=np.float64)
-    for k, p in enumerate(values):
-        params = MapParams(kind, float(p), branch_mode)
-        states = iterate(params, x0, transient, samples)
-        block = out[k * samples : (k + 1) * samples]
-        block[:, 0] = p
-        block[:, 1] = states
+    out[:, 0] = np.repeat(values, samples)
+    states = None
+    if steps >= _LOCKSTEP_MIN_WIDTH[kind] and transient >= 0 and samples >= 0:
+        states = _scan_lockstep(kind, values, x0, transient, samples, branch_mode)
+    if states is None:
+        for k, p in enumerate(values):
+            params = MapParams(kind, float(p), branch_mode)
+            out[k * samples : (k + 1) * samples, 1] = iterate(params, x0, transient, samples)
+    else:
+        out[:, 1] = states.T.reshape(-1)
     return out
 
 
@@ -276,3 +392,53 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
             stacklevel=2,
         )
     return total / used
+
+
+def _lyapunov_lockstep(kind, values, x0, transient, n, branch_mode):
+    """The estimates of a sweep, or None if any orbit warns or fails."""
+    orbits = _Orbits(kind, values, x0, branch_mode)
+    total = np.zeros(len(values))
+    states = np.empty((max(1, _CHUNK_CELLS // len(values)), len(values)))
+    with np.errstate(all="ignore"):
+        for _ in range(transient):
+            orbits.step()
+        for start in range(0, n, len(states)):
+            chunk = states[:n - start]
+            for row in chunk:
+                row[:] = orbits.x
+                orbits.step()
+            d = orbits.abs_derivative(chunk)
+            if (d < DERIVATIVE_FLOOR).any():  # the scalar loop warns or raises
+                return None
+            logs = np.fromiter(map(math.log, d.ravel().tolist()), np.float64, d.size)
+            logs = logs.reshape(d.shape)
+            logs[0] += total
+            total = np.add.accumulate(logs, axis=0)[-1]
+    # A non-finite derivative can leave the state finite but not the sum.
+    if orbits.reseeded or not (np.isfinite(orbits.x).all() and np.isfinite(total).all()):
+        return None
+    return total / n
+
+
+def lyapunov_sweep(
+    kind: MapKind,
+    values,
+    x0: float = 0.3,
+    transient: int = 1000,
+    n: int = 100000,
+    branch_mode: BranchMode = BranchMode.EQUATION1,
+) -> np.ndarray:
+    """`lyapunov` at each control value in `values`, one estimate per value.
+
+    Estimates, warnings and errors equal those of calling `lyapunov` once
+    per value, in order; wide sweeps step every orbit in lockstep.  An empty
+    `values` returns an empty array.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if (len(values) >= _LOCKSTEP_MIN_WIDTH[kind] and n >= 1
+            and all(_in_range(kind, v) for v in values.tolist())):
+        estimates = _lyapunov_lockstep(kind, values, x0, transient, n, branch_mode)
+        if estimates is not None:
+            return estimates
+    return np.array([lyapunov(MapParams(kind, float(p), branch_mode), x0, transient, n)
+                     for p in values], dtype=np.float64)

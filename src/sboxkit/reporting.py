@@ -7,8 +7,11 @@ that one field.  CSV numbers are written with 17 significant digits so they
 parse back to the identical double.
 """
 
+import contextlib
 import datetime
 import json
+import sys
+from pathlib import Path
 
 from . import __version__
 from .corpus import PUBLISHED_FIELDS
@@ -55,6 +58,33 @@ def report_to_dict(report: MetricReport) -> dict:
 def report_json(report: MetricReport, manifest: dict) -> str:
     payload = {"manifest": manifest, "report": report_to_dict(report)}
     return json.dumps(payload, indent=2) + "\n"
+
+
+def markdown_row(report: MetricReport, path) -> str:
+    """One ``analyze --md`` table row, labelled with the file name of `path`."""
+    d = report_to_dict(report)
+    cells = [str(d["nl_min"]), str(d["nl_max"]), f"{d['nl_avg']:g}",
+             f"{d['sac_avg']:.4f}", f"{d['sac_offset']:.4f}",
+             f"{d['bic_nl_avg']:g}", f"{d['lp']:g}", f"{d['dp']:g}",
+             str(d["fixed_point_count"])]
+    return "| " + Path(str(path)).name + " | " + " | ".join(cells) + " |"
+
+
+def write_param_csv(path, column: str, points, run: int = 1) -> None:
+    """Write (param, value) rows as a ``param,<column>`` CSV to `path`, or stdout.
+
+    `points` is an (N, 2) array whose rows come in runs of `run` rows that
+    share one parameter, as a bifurcation scan's do.  Numbers are rendered
+    as by `format_real`; each run's parameter is formatted once, and the
+    output is written run by run rather than joined into one string.
+    """
+    value_line = "{:.17g}\n".format
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
+        out.write(f"param,{column}\n")
+        for start in range(0, len(points), max(run, 1)):
+            block = points[start:start + run]
+            prefix = format_real(block[0, 0]) + ","
+            out.write(prefix + prefix.join(map(value_line, block[:, 1].tolist())))
 
 
 def nl_summary_line(report: MetricReport) -> str:

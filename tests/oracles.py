@@ -5,7 +5,9 @@ counting).  None of them uses the fast Walsh transform, so agreement with the
 library is a genuine two-route check.  `refine_reference` is the defining
 sequential hill climb: one full transform per scheduled swap, reverted unless
 the objective strictly improves.  The library's block-scored climb must match
-it exactly.
+it exactly.  `bifurcation_reference` and `lyapunov_sweep_reference` run one
+scalar orbit per parameter value, which the lockstep sweeps must match bit
+for bit, warnings and errors included.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from sboxkit.generator import (
     _check_key_field,
     _index_step,
 )
+from sboxkit.maps import MapParams, iterate, lyapunov
 from sboxkit.metrics import as_sbox, fwht, mask_sign_matrix
 
 
@@ -158,3 +161,21 @@ def refine_reference(box, c: int, d: int, e: float, f: float,
             table[i], table[j] = table[j], table[i]
             swap_columns(i, j)
     return table, RefineStats(config.budget, accepted, initial, best)
+
+
+def bifurcation_reference(kind, param_lo, param_hi, steps, x0, transient, samples,
+                          branch_mode) -> np.ndarray:
+    """The parameter scan as a loop of single orbits: one `iterate` per value."""
+    values = np.linspace(param_lo, param_hi, steps)
+    out = np.empty((steps * samples, 2), dtype=np.float64)
+    for k, p in enumerate(values):
+        block = out[k * samples:(k + 1) * samples]
+        block[:, 0] = p
+        block[:, 1] = iterate(MapParams(kind, float(p), branch_mode), x0, transient, samples)
+    return out
+
+
+def lyapunov_sweep_reference(kind, values, x0, transient, n, branch_mode) -> np.ndarray:
+    """One `lyapunov` per parameter value, in order."""
+    return np.array([lyapunov(MapParams(kind, float(p), branch_mode), x0, transient, n)
+                     for p in values], dtype=np.float64)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ def test_parse_json_errors():
     with pytest.raises(ParseError, match="index 2"):
         parse_grid("[" + ",".join(["1", "2", "999"] + ["0"] * 253) + "]",
                     BoxFormat.JSON)
+
+
+def test_parse_json_rejects_booleans(tmp_path):
+    cells = [int(v) for v in BOX]
+    assert np.array_equal(parse_grid(json.dumps(cells), BoxFormat.JSON), BOX)
+    assert parse_grid(json.dumps(list(range(256))), BoxFormat.JSON).tolist() == list(range(256))
+    for flag in (False, True):
+        data = list(cells)
+        data[5] = flag
+        with pytest.raises(ParseError, match=f"value {flag} at index 5 is not an integer"):
+            parse_grid(json.dumps(data), BoxFormat.JSON)
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps([True] + cells[1:]))
+    with pytest.raises(ParseError):
+        load_sbox(path, BoxFormat.JSON)
 
 
 def test_load_missing_file():

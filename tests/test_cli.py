@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from checkout_env import checkout_env
-from sboxkit import get_entry, save_sbox
+from sboxkit import MapKind, MapParams, get_entry, iterate, lyapunov, save_sbox
+from sboxkit.reporting import format_real
 
 KEY_FLAGS = ["--x0", "0.442637767848956", "--a", "1.0", "--b", "7317130",
              "--c", "731713", "--d", "167527",
@@ -262,6 +263,48 @@ def test_lyapunov_sweep_csv(tmp_path):
     for line in lines[1:]:
         p, le = line.split(",")
         assert np.isfinite(float(p)) and np.isfinite(float(le))
+
+
+def test_bifurcate_csv_matches_single_orbit_rendering(tmp_path):
+    # the streamed CSV equals one f-string row per state of per-parameter orbits
+    out = tmp_path / "bif.csv"
+    res = run_cli("bifurcate", "--map", "ahyb", "--param-lo", "0.2", "--param-hi", "1.8",
+                  "--steps", "7", "--transient", "30", "--samples", "9", "--out", out)
+    assert res.returncode == 0, res.stderr
+    lines = ["param,x"]
+    for p in np.linspace(0.2, 1.8, 7):
+        for x in iterate(MapParams(MapKind.AHYB, float(p)), 0.3, 30, 9):
+            lines.append(f"{format_real(p)},{format_real(x)}")
+    assert out.read_text() == "\n".join(lines) + "\n"
+    res = run_cli("bifurcate", "--map", "ahyb", "--param-lo", "0.2", "--param-hi", "1.8",
+                  "--steps", "7", "--transient", "30", "--samples", "9")
+    assert res.stdout == out.read_text()
+
+
+def test_lyapunov_sweep_csv_matches_single_orbit_rendering():
+    res = run_cli("lyapunov", "--map", "sine", "--param-lo", "0.5", "--param-hi", "4",
+                  "--steps", "6", "--n", "400", "--transient", "20")
+    assert res.returncode == 0, res.stderr
+    lines = ["param,le"]
+    for p in np.linspace(0.5, 4.0, 6):
+        le = lyapunov(MapParams(MapKind.SINE, float(p)), 0.3, 20, 400)
+        lines.append(f"{format_real(p)},{format_real(le)}")
+    assert res.stdout == "\n".join(lines) + "\n"
+
+
+def test_lyapunov_zero_steps_prints_header_only():
+    res = run_cli("lyapunov", "--map", "logistic", "--param-lo", "3", "--param-hi", "4",
+                  "--steps", "0")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "param,le\n"
+
+
+def test_bifurcate_zero_samples_writes_header_only(tmp_path):
+    out = tmp_path / "bif.csv"
+    res = run_cli("bifurcate", "--map", "sine", "--param-lo", "1", "--param-hi", "2",
+                  "--samples", "0", "--out", out)
+    assert res.returncode == 0, res.stderr
+    assert out.read_text() == "param,x\n"
 
 
 def test_lyapunov_needs_param_or_sweep():

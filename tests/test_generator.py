@@ -135,11 +135,13 @@ def test_initial_sbox_validates_ranges():
 
 def test_initial_sbox_stalls_on_degenerate_orbit(monkeypatch):
     import sboxkit.generator as gen
+    import sboxkit.maps as maps
     from sboxkit import GenerationStall
 
     # a constant orbit keeps producing the same byte; after the first
-    # placement every candidate is a duplicate
-    monkeypatch.setattr(gen, "map_step", lambda params, x: 2.25)
+    # placement every candidate is a duplicate (the fill steps the orbit
+    # with maps._advance, which looks up maps.map_step)
+    monkeypatch.setattr(maps, "map_step", lambda params, x: 2.25)
     monkeypatch.setattr(gen, "_STALL_LIMIT", 1000)
     with pytest.raises(GenerationStall):
         initial_sbox(0.7, 1.3, 55_555_555)

@@ -1,12 +1,19 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+import sboxkit.maps as maps
 from sboxkit import (
     BranchMode,
     DegenerateOrbitWarning,
+    DerivativeSkipWarning,
+    DerivativeZero,
     MapKind,
     MapParams,
     NonFiniteState,
@@ -14,6 +21,7 @@ from sboxkit import (
     bifurcation_scan,
     iterate,
     lyapunov,
+    lyapunov_sweep,
     map_derivative,
     map_step,
     renormalize,
@@ -251,3 +259,167 @@ def test_lyapunov_ahyb_positive():
 def test_lyapunov_needs_samples():
     with pytest.raises(ValueError):
         lyapunov(logistic(4.0), 0.3, transient=0, n=0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep sweeps against a loop of single orbits
+
+def outcome(call):
+    """(result bytes or exception, warnings) of `call`, every warning recorded."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            value = call()
+            result = ("ok", value.shape, value.tobytes())
+        except Exception as exc:  # noqa: BLE001 - the type is compared
+            result = ("raised", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in seen]
+
+
+# Admissible parameter interval, starting-state interval and special starting
+# states (AHYB branch boundaries and the state that folds to 0 at A = 1; the
+# zero of the reference maps' derivatives) per map.
+PARAM_BOUNDS = {MapKind.AHYB: (0.001, 1.999), MapKind.LOGISTIC: (0.001, 4.0),
+                MapKind.SINE: (0.001, 4.0)}
+X0_BOUNDS = {MapKind.AHYB: (0.001, 3.999), MapKind.LOGISTIC: (0.001, 0.999),
+             MapKind.SINE: (0.001, 0.999)}
+X0_SPECIAL = {MapKind.AHYB: (1.5, 3.0, 4.0 / 3.0), MapKind.LOGISTIC: (0.5,),
+              MapKind.SINE: (0.5,)}
+# A sweep width that every map steps in lockstep.
+WIDE = max(maps._LOCKSTEP_MIN_WIDTH.values())
+
+
+@st.composite
+def sweep_cases(draw):
+    kind = draw(st.sampled_from(list(MapKind)))
+    lo, hi = sorted(draw(st.floats(*PARAM_BOUNDS[kind])) for _ in range(2))
+    steps = draw(st.one_of(st.just(1), st.just(2), st.integers(1, 64)))
+    x0 = draw(st.one_of(st.sampled_from(X0_SPECIAL[kind]), st.floats(*X0_BOUNDS[kind])))
+    return kind, draw(st.sampled_from(list(BranchMode))), lo, hi, steps, x0
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sweep_cases(), transient=st.integers(0, 40), samples=st.integers(0, 40))
+def test_bifurcation_scan_matches_single_orbits(case, transient, samples):
+    kind, mode, lo, hi, steps, x0 = case
+    got = outcome(lambda: bifurcation_scan(kind, lo, hi, steps, x0, transient, samples, mode))
+    want = outcome(lambda: oracles.bifurcation_reference(
+        kind, lo, hi, steps, x0, transient, samples, mode))
+    assert got == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sweep_cases(), transient=st.integers(0, 40), n=st.integers(1, 300))
+def test_lyapunov_sweep_matches_single_orbits(case, transient, n):
+    kind, mode, lo, hi, steps, x0 = case
+    values = np.linspace(lo, hi, steps)
+    got = outcome(lambda: lyapunov_sweep(kind, values, x0, transient, n, mode))
+    want = outcome(lambda: oracles.lyapunov_sweep_reference(
+        kind, values, x0, transient, n, mode))
+    assert got == want
+
+
+def test_lyapunov_sweep_spans_derivative_chunks():
+    # WIDE parameters x 10,000 samples fill several derivative buffers
+    values = np.linspace(3.5, 4.0, WIDE)
+    got = lyapunov_sweep(MapKind.LOGISTIC, values, 0.3, 100, 10_000)
+    want = oracles.lyapunov_sweep_reference(MapKind.LOGISTIC, values, 0.3, 100, 10_000,
+                                            BranchMode.EQUATION1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lyapunov_sweep_single_sample_is_libm_log():
+    # with n = 1 each estimate is one log term, so any gap between a vector
+    # log and libm's shows up directly
+    for kind, (lo, hi) in PARAM_BOUNDS.items():
+        values = np.linspace(lo, hi, 3000)
+        got = lyapunov_sweep(kind, values, 0.3, 5, 1)
+        want = oracles.lyapunov_sweep_reference(kind, values, 0.3, 5, 1, BranchMode.EQUATION1)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lyapunov_sweep_empty_and_sample_count():
+    assert lyapunov_sweep(MapKind.LOGISTIC, [], 0.3, 10, 0).shape == (0,)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        lyapunov_sweep(MapKind.LOGISTIC, [3.0], 0.3, 10, 0)
+
+
+@pytest.mark.parametrize("width", [2, WIDE])
+def test_sweep_nonfinite_logistic_raises_scalar_message(width):
+    values = np.linspace(3.0, 3.5, width)
+    got = outcome(lambda: lyapunov_sweep(MapKind.LOGISTIC, values, 1e200, 10, 100))
+    want = outcome(lambda: lyapunov(logistic(3.0), 1e200, 10, 100))
+    assert got[0][:2] == ("raised", NonFiniteState)
+    assert got == want
+    scan = outcome(lambda: bifurcation_scan(MapKind.LOGISTIC, 3.0, 3.5, width, 1e200, 10, 5))
+    assert scan == outcome(lambda: iterate(logistic(3.0), 1e200, 10, 5))
+
+
+@pytest.mark.parametrize("width", [2, WIDE])
+def test_sweep_ahyb_overflow_raises_as_scalar(width):
+    # y * 1e15 overflows inside round15 on the first step
+    values = np.linspace(0.5, 1.5, width)
+    got = outcome(lambda: lyapunov_sweep(MapKind.AHYB, values, 1e150, 10, 100))
+    assert got[0][:2] == ("raised", OverflowError)
+    assert got == outcome(lambda: lyapunov(ahyb(0.5), 1e150, 10, 100))
+    scan = outcome(lambda: bifurcation_scan(MapKind.AHYB, 0.5, 1.5, width, 1e150, 10, 5))
+    assert scan == outcome(lambda: iterate(ahyb(0.5), 1e150, 10, 5))
+
+
+def test_sweep_derivative_skips_warn_then_raise_in_order():
+    # From x0 = 0.5 the logistic map's first sample has f' = 0.  At b = 4 and
+    # b = 3 that one skip of 200 warns; at b = 2 the orbit stays at 0.5, every
+    # sample is skipped and DerivativeZero is raised; the rest are never reached.
+    values = [4.0, 3.0, 2.0, *np.linspace(3.5, 3.9, WIDE)]
+    got = outcome(lambda: lyapunov_sweep(MapKind.LOGISTIC, values, 0.5, 0, 200))
+    want = outcome(lambda: oracles.lyapunov_sweep_reference(
+        MapKind.LOGISTIC, values, 0.5, 0, 200, BranchMode.EQUATION1))
+    assert got == want
+    result, seen = got
+    assert result[:2] == ("raised", DerivativeZero)
+    assert [category for category, _ in seen] == [DerivativeSkipWarning] * 2
+
+
+def test_sweep_warns_then_rejects_out_of_range_parameter():
+    values = [4.0, 5.0, *[3.0] * WIDE]
+    got = outcome(lambda: lyapunov_sweep(MapKind.LOGISTIC, values, 0.5, 0, 200))
+    want = outcome(lambda: oracles.lyapunov_sweep_reference(
+        MapKind.LOGISTIC, values, 0.5, 0, 200, BranchMode.EQUATION1))
+    assert got == want
+    assert got[0][:2] == ("raised", ParamOutOfRange)
+    assert got[1] == [(DerivativeSkipWarning, "skipped 1 of 200 Lyapunov samples with "
+                                               "|f'| < 1e-300")]
+
+
+def test_sweep_reseed_warnings_match_single_orbits():
+    # at A = 1 the state 4/3 maps to 4, which folds to exactly 0
+    for mode in BranchMode:
+        got = outcome(lambda: bifurcation_scan(MapKind.AHYB, 1.0, 1.4, WIDE, 4.0 / 3.0, 0, 6,
+                                               mode))
+        want = outcome(lambda: oracles.bifurcation_reference(
+            MapKind.AHYB, 1.0, 1.4, WIDE, 4.0 / 3.0, 0, 6, mode))
+        assert got == want
+        assert (DegenerateOrbitWarning, "folded state hit 0 exactly; reseeding to 1e-12") in got[1]
+        values = np.linspace(1.0, 1.2, WIDE)
+        sweep = outcome(lambda: lyapunov_sweep(MapKind.AHYB, values, 4.0 / 3.0, 0, 50, mode))
+        assert sweep == outcome(lambda: oracles.lyapunov_sweep_reference(
+            MapKind.AHYB, values, 4.0 / 3.0, 0, 50, mode))
+
+
+def test_wide_clean_sweeps_step_in_lockstep(monkeypatch):
+    # a wide sweep in which no orbit warns or fails never calls the scalar code
+    cases = [(kind, *PARAM_BOUNDS[kind], mode) for kind in MapKind for mode in BranchMode]
+    want = [(oracles.bifurcation_reference(kind, lo, hi, WIDE, 0.3, 50, 20, mode),
+             oracles.lyapunov_sweep_reference(kind, np.linspace(lo, hi, WIDE), 0.3, 50, 200,
+                                              mode))
+            for kind, lo, hi, mode in cases]
+
+    def scalar(*args):
+        raise AssertionError("scalar fallback taken")
+
+    monkeypatch.setattr(maps, "iterate", scalar)
+    monkeypatch.setattr(maps, "lyapunov", scalar)
+    for (kind, lo, hi, mode), (scan, les) in zip(cases, want):
+        assert bifurcation_scan(kind, lo, hi, WIDE, 0.3, 50, 20, mode).tobytes() == scan.tobytes()
+        got = lyapunov_sweep(kind, np.linspace(lo, hi, WIDE), 0.3, 50, 200, mode)
+        assert got.tobytes() == les.tobytes()

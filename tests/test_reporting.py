@@ -1,0 +1,29 @@
+import numpy as np
+
+from sboxkit import full_report, get_entry
+from sboxkit.reporting import format_real, markdown_row, write_param_csv
+
+
+def test_param_csv_streams_runs(tmp_path, capsys):
+    points = np.array([[0.1, 1.0], [0.1, 2.5], [0.1, -0.0], [0.7, 1e-300], [0.7, 3.0], [0.7, 4.0]])
+    want = "param,x\n" + "".join(f"{format_real(p)},{format_real(v)}\n" for p, v in points)
+    path = tmp_path / "scan.csv"
+    write_param_csv(path, "x", points, run=3)
+    assert path.read_text() == want
+    write_param_csv(None, "x", points, run=3)
+    assert capsys.readouterr().out == want
+    write_param_csv(None, "le", points)
+    assert capsys.readouterr().out == want.replace("param,x", "param,le", 1)
+
+
+def test_param_csv_without_rows_is_header_only(capsys):
+    write_param_csv(None, "x", np.empty((0, 2)), run=0)
+    assert capsys.readouterr().out == "param,x\n"
+
+
+def test_markdown_row_cells():
+    row = markdown_row(full_report(get_entry("aes").table), "/some/dir/aes.sbox")
+    cells = [c.strip() for c in row.strip("|").split("|")]
+    assert cells[0] == "aes.sbox"
+    assert cells[1:3] == ["112", "112"]
+    assert len(cells) == 10
