@@ -9,6 +9,7 @@ manifests.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -171,7 +172,7 @@ def _cmd_lyapunov(args) -> int:
         raise ParamOutOfRange("sweep needs both --param-lo and --param-hi")
     # One `lyapunov` call per value rather than `maps.lyapunov_sweep`: the
     # benchmark's traced mode (perfbench/spans.py) times Lyapunov work by
-    # wrapping `cli.lyapunov`.  See ROADMAP item 2(b).
+    # wrapping `cli.lyapunov`.  See ROADMAP item 1.
     values = np.linspace(args.param_lo, args.param_hi, args.steps)
     exponents = [lyapunov(MapParams(kind, float(p), branch_mode),
                           args.x0, args.transient, args.n) for p in values]
@@ -191,7 +192,9 @@ def _add_common(sub, fmt=True, nl=True, branch=False):
                          help="third-branch variant of the primary map")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="sboxkit",
                      description="chaotic S-box generation and analysis")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,7 +270,8 @@ def main(argv=None) -> int:
     except GenerationStall as exc:
         print(f"sboxkit: error: {exc}", file=sys.stderr)
         return 3
-    except (SBoxKitError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SBoxKitError, ValueError, ArithmeticError, OSError,
+            json.JSONDecodeError) as exc:
         print(f"sboxkit: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,8 +12,10 @@ stored row for published-only entries, keeping input order and never letting
 one bad row abort the rest.
 """
 
+import copy
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -59,8 +61,9 @@ def _data_text(name: str) -> str:
     return resources.files("sboxkit.data").joinpath(name).read_text(encoding="ascii")
 
 
-def builtin_corpus() -> list:
-    """Load the shipped corpus (manifest plus grid files) as CorpusEntry list."""
+@functools.cache
+def _load_corpus() -> tuple:
+    """Parse the shipped manifest and grid files, once per process."""
     manifest = json.loads(_data_text("manifest.json"))
     entries = []
     for item in manifest["entries"]:
@@ -79,18 +82,32 @@ def builtin_corpus() -> list:
             note=item.get("note"),
             data_quality=item.get("data_quality"),
         ))
-    return entries
+    return tuple(entries)
+
+
+def _fresh(entry: CorpusEntry) -> CorpusEntry:
+    """A copy of a cached entry that a caller may mutate freely."""
+    return replace(
+        entry,
+        table=None if entry.table is None else entry.table.copy(),
+        published=copy.deepcopy(entry.published),
+    )
+
+
+def builtin_corpus() -> list:
+    """The shipped corpus (manifest plus grid files) as fresh CorpusEntry objects."""
+    return [_fresh(entry) for entry in _load_corpus()]
 
 
 def get_entry(entry_id: str) -> CorpusEntry:
-    for entry in builtin_corpus():
+    for entry in _load_corpus():
         if entry.id == entry_id:
-            return entry
+            return _fresh(entry)
     raise KeyError(f"unknown corpus id {entry_id!r}")
 
 
 def corpus_ids() -> list:
-    return [entry.id for entry in builtin_corpus()]
+    return [entry.id for entry in _load_corpus()]
 
 
 def published_deltas(report: MetricReport, published: dict) -> list:

@@ -35,7 +35,6 @@ reciprocal.  Both stages are deterministic functions of the key.
 """
 
 import enum
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,7 +47,14 @@ from .errors import (
     ParamOutOfRange,
 )
 from .maps import BranchMode, MapKind, MapParams, _advance, round15
-from .metrics import COORD_MASKS, _nl_from_spectra, as_sbox, fwht, mask_sign_matrix
+from .metrics import (
+    COORD_MASKS,
+    _hadamard,
+    _nl_from_spectra,
+    as_sbox,
+    fwht,
+    mask_sign_matrix,
+)
 
 # Key field ranges: (low, high, integer). All bounds are exclusive.
 KEY_RANGES = {
@@ -239,14 +245,6 @@ _OBJECTIVES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _hadamard() -> np.ndarray:
-    """The 256x256 Hadamard matrix, H[i, a] = (-1)^(i.a), built on first use."""
-    h = fwht(np.eye(256, dtype=np.int32)).astype(np.int16)
-    h.flags.writeable = False  # one shared instance
-    return h
-
-
 def _swap_schedule(c: int, d: int, e: float, f: float, budget: int):
     """Yield the budget's (I, J) swap pairs; they depend on the key alone."""
     x, y = float(e), float(f)
@@ -272,7 +270,7 @@ def refine_sbox(box, c: int, d: int, e: float, f: float,
     _check_key_field("f", f)
 
     masks, agg, block = _OBJECTIVES[config.objective]
-    hadamard = _hadamard()
+    hadamard = _hadamard().astype(np.int16)
     signs = mask_sign_matrix(table, masks).astype(np.int16)
     walsh = fwht(signs).astype(np.int16)
     best = initial = int(agg(_nl_from_spectra(walsh)))

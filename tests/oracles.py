@@ -1,8 +1,12 @@
-"""Brute-force reference implementations used to cross-check the fast paths.
+"""Reference implementations used to cross-check the fast paths.
 
 The metric oracles follow the definitions directly (enumeration and
-counting).  None of them uses the fast Walsh transform, so agreement with the
-library is a genuine two-route check.  `refine_reference` is the defining
+counting), with one exception: `spectra_reference` runs the butterfly fast
+Walsh transform over each component's sign table, a second route to the
+library's single Hadamard matrix product for all 255 output masks.  The
+spectra-derived metrics (nonlinearity in both modes, linear probability) are
+checked against it.  `lp_direct` is itself a matrix product, so it is not an
+independent route for linear probability.  `refine_reference` is the defining
 sequential hill climb: one full transform per scheduled swap, reverted unless
 the objective strictly improves.  The library's block-scored climb must match
 it exactly.  `bifurcation_reference` and `lyapunov_sweep_reference` run one
@@ -75,6 +79,11 @@ def bic_nl_direct(box) -> np.ndarray:
         for j in range(i + 1, 8):
             m[i, j] = m[j, i] = nonlinearity_affine(coords[i] ^ coords[j])
     return m
+
+
+def spectra_reference(box) -> np.ndarray:
+    """Walsh spectra of every nonzero output mask by per-row FWHT; row m-1 is mask m."""
+    return fwht(mask_sign_matrix(np.asarray(box, dtype=np.uint8), np.arange(1, 256)))
 
 
 def lp_direct(box) -> float:

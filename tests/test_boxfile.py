@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sboxkit import (
     BoxFormat,
@@ -32,6 +34,16 @@ def test_round_trip_all_formats(tmp_path):
         save_sbox(path, BOX, fmt)
         back = load_sbox(path, fmt)
         assert np.array_equal(back, BOX)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.integers(0, 255), min_size=256, max_size=256),
+       fmt=st.sampled_from(list(BoxFormat)))
+def test_format_parse_round_trip(values, fmt):
+    table = np.array(values, dtype=np.uint8)
+    back = parse_grid(format_grid(table, fmt), fmt)
+    assert back.dtype == np.uint8
+    assert np.array_equal(back, table)
 
 
 def test_hex_grid_lowercase_two_digits():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from checkout_env import checkout_env
+from sboxkit import cli
 from sboxkit import MapKind, MapParams, get_entry, iterate, lyapunov, save_sbox
 from sboxkit.reporting import format_real
 
@@ -187,6 +188,19 @@ def test_analyze_human_and_markdown(aes_grid):
     assert res.stdout.startswith("| aes.sbox |")
 
 
+def test_in_process_calls_reuse_one_parser(aes_grid, capsys):
+    # the parser is built once per process; each call must still parse its
+    # own argv with its own subcommand's defaults
+    argvs = [["analyze", str(aes_grid), "--md"],
+             ["analyze", str(aes_grid), "--md", "--nl-mode", "full"],
+             ["lyapunov", "--map", "logistic", "--param", "4.0", "--n", "500"],
+             ["analyze", str(aes_grid), "--md"]]
+    for argv in argvs:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == run_cli(*argv).stdout
+    assert cli.build_parser() is cli.build_parser()
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -305,6 +319,16 @@ def test_bifurcate_zero_samples_writes_header_only(tmp_path):
                   "--samples", "0", "--out", out)
     assert res.returncode == 0, res.stderr
     assert out.read_text() == "param,x\n"
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "bifurcate"])
+def test_overflowing_orbit_is_an_input_error(command):
+    # x0 = 1e150 overflows the AHYB fold (round15 of an infinite state)
+    res = run_cli(command, "--map", "ahyb", "--param-lo", "0.5", "--param-hi", "1.5",
+                  "--steps", "5", "--x0", "1e150")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "sboxkit: error: cannot convert float infinity to integer\n"
 
 
 def test_lyapunov_needs_param_or_sweep():

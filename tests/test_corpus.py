@@ -39,6 +39,24 @@ def test_corpus_grid_round_trips():
         assert np.array_equal(again, table)
 
 
+def test_corpus_entries_are_fresh_copies():
+    # the corpus is parsed once per process; mutating what a call returns
+    # must not reach the next call
+    aes = get_entry("aes")
+    first_aes = aes.table[0]
+    aes.table[:] = 0
+    proposed = {e.id: e for e in builtin_corpus()}["paper-proposed"]
+    proposed.table[:] = 0
+    proposed.published["nl_per_coordinate"][0] = -1
+    proposed.published["lp"] = None
+    again = get_entry("paper-proposed")
+    assert again.table[0] == 206
+    assert again.published["nl_per_coordinate"][0] == 110
+    assert again.published["lp"] is not None
+    assert get_entry("aes").table[0] == first_aes
+    assert builtin_corpus()[0].table[0] == first_aes
+
+
 def test_unknown_id():
     with pytest.raises(KeyError):
         get_entry("nope")

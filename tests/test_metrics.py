@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from sboxkit import generator, metrics
 from sboxkit import (
     NLMode,
     NonBijectiveWarning,
@@ -288,3 +291,75 @@ def test_is_bijective():
     assert is_bijective(AES)
     assert not is_bijective(np.zeros(256, dtype=int))
     assert not is_bijective(np.arange(255))
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: every battery kernel against its oracle, on random
+# bijections and arbitrary (non-bijective) tables
+
+TABLES = st.one_of(
+    st.permutations(range(256)),
+    st.lists(st.integers(0, 255), min_size=256, max_size=256),
+).map(lambda values: np.array(values, dtype=np.uint8))
+
+SPECIAL_TABLES = (np.zeros(256, dtype=np.uint8),
+                  np.full(256, 255, dtype=np.uint8),
+                  IDENTITY.astype(np.uint8))
+
+
+def battery_examples(test):
+    for table in SPECIAL_TABLES:
+        test = example(table=table)(test)
+    return settings(max_examples=40, deadline=None)(given(table=TABLES)(test))
+
+
+@battery_examples
+@pytest.mark.filterwarnings("ignore::sboxkit.errors.NonBijectiveWarning")
+def test_spectra_metrics_match_fwht_reference(table):
+    ref = oracles.spectra_reference(table)
+    spectra = metrics._all_mask_spectra(table)
+    assert spectra.dtype == np.int32
+    assert np.array_equal(spectra, ref)
+
+    nls = (256 - np.abs(ref).max(axis=1)) // 2
+    coord = [int(nls[m - 1]) for m in metrics.COORD_MASKS]
+    full = sbox_nonlinearity(table, NLMode.FULL_SPECTRUM, allow_non_bijective=True)
+    assert (full.minimum, full.maximum, full.average) == (nls.min(), nls.max(), nls.mean())
+    assert full.per_coordinate == tuple(coord)
+    per_bit = sbox_nonlinearity(table, allow_non_bijective=True)
+    assert (per_bit.minimum, per_bit.maximum, per_bit.average) == \
+        (min(coord), max(coord), sum(coord) / 8)
+
+    lp = np.abs(ref).max() / 512
+    assert linear_probability(table, allow_non_bijective=True) == lp
+    assert full_report(table, allow_non_bijective=True).lp == lp
+
+
+@battery_examples
+@pytest.mark.filterwarnings("ignore::sboxkit.errors.NonBijectiveWarning")
+def test_ddt_matches_direct_count(table):
+    ref = oracles.ddt_direct(table)
+    ddt = difference_distribution(table)
+    assert ddt.dtype == np.int64
+    assert np.array_equal(ddt, ref)
+    du = differential_uniformity(table, allow_non_bijective=True)
+    assert du.du == ref[1:].max()
+    assert np.array_equal(du.grid.reshape(-1)[:255], ref[1:].max(axis=1))
+
+
+@battery_examples
+@pytest.mark.filterwarnings("ignore::sboxkit.errors.NonBijectiveWarning")
+def test_sac_and_bic_match_direct_count(table):
+    sac = sac_matrix(table, allow_non_bijective=True)
+    assert np.array_equal(sac.matrix, oracles.sac_direct(table))
+    bic = bic_nl(table, allow_non_bijective=True)
+    assert np.array_equal(bic.matrix, oracles.bic_nl_direct(table))
+
+
+def test_generator_and_metrics_share_one_hadamard():
+    h = metrics._hadamard()
+    assert generator._hadamard() is h
+    assert not h.flags.writeable
+    parity = oracles.PARITY[np.bitwise_and.outer(np.arange(256), np.arange(256))]
+    signs = 1 - 2 * parity.astype(np.int32)
+    assert np.array_equal(h, signs)
