@@ -46,7 +46,7 @@ from .errors import (
     NumericGuardTripped,
     ParamOutOfRange,
 )
-from .maps import BranchMode, MapKind, MapParams, _advance, round15
+from .maps import BranchMode, MapKind, MapParams, _kernel, round15
 from .metrics import (
     COORD_MASKS,
     _hadamard,
@@ -192,7 +192,7 @@ def initial_sbox(x0: float, a: float, b: int,
     """
     _check_key_field("x0", x0)
     _check_key_field("b", int(b))
-    params = MapParams(MapKind.AHYB, a, branch_mode)  # validates a
+    step, _ = _kernel(MapParams(MapKind.AHYB, a, branch_mode))  # validates a
 
     table = np.empty(256, dtype=np.uint8)
     seen = bytearray(256)
@@ -200,7 +200,7 @@ def initial_sbox(x0: float, a: float, b: int,
     misses = 0
     x = float(x0)
     while placed < 256:
-        x = _advance(params, x, fold=True)
+        x = step(x)
         v = _round_int(x * b) % 256
         if seen[v]:
             misses += 1

@@ -27,8 +27,20 @@ generator pseudocode) are both available via ``BranchMode``.
 Everything here is a pure function of its arguments: same inputs, bit-identical
 outputs on one platform.
 
-Single orbits (``map_step``, ``iterate``, ``lyapunov``) are scalar Python
-loops.  Sweeps over the control parameter (``bifurcation_scan``,
+``map_step``, ``map_derivative`` and ``renormalize`` are the definitions.
+Single orbits (``iterate``, ``lyapunov`` and the generator's fill) are
+scalar Python loops over one kernel, ``_kernel(params)``, which resolves the
+map kind, the branch mode and the constants ``2 + A`` and ``A * pi`` once
+per orbit and returns a step closure (the raw map, then for AHYB the round15
+fold and the reseed) and a derivative closure.  They perform the same IEEE
+operations in the same order as the definitions, with libm ``pow``, ``log``,
+``sin`` and ``cos``, and raise and warn as they do; the starting state is
+checked once, since a step never returns a non-finite state.  That removes
+about six Python calls per step: a Lyapunov step went from about 2.1 to 1.0
+us (AHYB) and from about 1.8 and 1.5 to 0.6 us (logistic, sine) on a 2-core
+x86-64 machine (Python 3.11, numpy 2.4).
+
+Sweeps over the control parameter (``bifurcation_scan``,
 ``lyapunov_sweep``) advance every parameter's orbit in lockstep as one
 float64 array per time step, and give the same bits as a loop of single
 orbits.  That holds because each array operation performs the same IEEE
@@ -103,9 +115,11 @@ _CHUNK_CELLS = 1 << 16
 
 # Narrowest sweep that is stepped in lockstep.  Each lockstep step costs a
 # fixed ~20 numpy calls (AHYB) or a few (reference maps), so narrower sweeps
-# run faster as a loop of single orbits; the widths are where the two broke
-# even on a 2-core x86-64 machine (Python 3.11, numpy 2.4).
-_LOCKSTEP_MIN_WIDTH = {MapKind.AHYB: 24, MapKind.LOGISTIC: 8, MapKind.SINE: 8}
+# run faster as a loop of single orbits.  On a 2-core x86-64 machine
+# (Python 3.11, numpy 2.4) the two broke even at about 44 (scan) and 34
+# (Lyapunov sweep) parameters for AHYB, 16 and 13 for the logistic map, and
+# 14 and 12 for the sine map.
+_LOCKSTEP_MIN_WIDTH = {MapKind.AHYB: 40, MapKind.LOGISTIC: 16, MapKind.SINE: 14}
 
 
 def _in_range(kind: MapKind, control: float) -> bool:
@@ -206,18 +220,105 @@ def map_derivative(params: MapParams, x: float) -> float:
     return d
 
 
-def _advance(params: MapParams, x: float, fold: bool) -> float:
-    x = map_step(params, x)
-    if fold:
-        x = renormalize(x)
-        if x == 0.0:
-            warnings.warn(
-                "folded state hit 0 exactly; reseeding to 1e-12",
-                DegenerateOrbitWarning,
-                stacklevel=3,
-            )
-            x = RESEED
-    return x
+def _kernel(params: MapParams):
+    """The orbit step and derivative of `params`, as closures `(step, deriv)`.
+
+    The map kind, branch mode and the constants ``2 + A`` and ``A * pi`` are
+    resolved here, once per orbit.  ``step(x)`` is ``map_step`` followed, for
+    AHYB, by ``renormalize`` and the reseed of a folded 0 to ``RESEED``;
+    ``deriv(x)`` is ``map_derivative``.  Both perform the same float
+    operations in the same order as those functions, and raise and warn as
+    they do, except that they do not test their argument: the caller checks
+    the starting state once (``_check_start``), and every later state is
+    finite because ``step`` raises rather than return a non-finite value.
+    The reseed warning names the caller of the function that runs the loop.
+    """
+    a = params.control
+    isfinite = math.isfinite
+
+    def nonfinite_step(x):
+        raise NonFiniteState(f"map_step produced non-finite value from x={x!r}")
+
+    def nonfinite_deriv(x):
+        raise NonFiniteState(f"map_derivative produced non-finite value at x={x!r}")
+
+    if params.kind is MapKind.AHYB:
+        two_plus_a = 2.0 + a
+        alg1 = params.branch_mode is BranchMode.ALGORITHM1
+        floor, ceil = math.floor, math.ceil
+
+        def step(x):
+            if x < 1.5:
+                y = two_plus_a * x
+            elif x < 3.0:
+                y = a + x**0.9
+            elif alg1:
+                y = a - x
+            else:
+                y = x * (a - x)
+            if not isfinite(y):
+                nonfinite_step(x)
+            v = y * 1e15
+            r = floor(v + 0.5) / 1e15 if v >= 0.0 else ceil(v - 0.5) / 1e15  # round15(y)
+            x = 4.0 * (abs(r) % 1.0)  # renormalize(y)
+            if x == 0.0:
+                warnings.warn(
+                    "folded state hit 0 exactly; reseeding to 1e-12",
+                    DegenerateOrbitWarning,
+                    stacklevel=3,
+                )
+                x = RESEED
+            return x
+
+        def deriv(x):
+            if x < 1.5:
+                d = two_plus_a
+            elif x < 3.0:
+                d = 0.9 * x**-0.1
+            elif alg1:
+                d = -1.0
+            else:
+                d = a - 2.0 * x
+            if not isfinite(d):
+                nonfinite_deriv(x)
+            return d
+
+    elif params.kind is MapKind.LOGISTIC:
+
+        def step(x):
+            y = a * x * (1.0 - x)
+            if not isfinite(y):
+                nonfinite_step(x)
+            return y
+
+        def deriv(x):
+            d = a * (1.0 - 2.0 * x)
+            if not isfinite(d):
+                nonfinite_deriv(x)
+            return d
+
+    else:
+        a_pi, pi, sin, cos = a * math.pi, math.pi, math.sin, math.cos
+
+        def step(x):
+            y = a * sin(pi * x)
+            if not isfinite(y):
+                nonfinite_step(x)
+            return y
+
+        def deriv(x):
+            d = a_pi * cos(pi * x)
+            if not isfinite(d):
+                nonfinite_deriv(x)
+            return d
+
+    return step, deriv
+
+
+def _check_start(x: float, first: str) -> None:
+    """Raise as `first` (``map_step`` or ``map_derivative``) would on a non-finite start."""
+    if not math.isfinite(x):
+        raise NonFiniteState(f"{first} received non-finite state {x!r}")
 
 
 def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> np.ndarray:
@@ -229,13 +330,15 @@ def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> 
     """
     if transient < 0 or n < 0:
         raise ValueError("transient and n must be non-negative")
-    fold = params.kind is MapKind.AHYB
+    step, _ = _kernel(params)
     x = float(x0)
+    if transient or n:  # an orbit of no steps never looks at x0
+        _check_start(x, "map_step")
     for _ in range(transient):
-        x = _advance(params, x, fold)
+        x = step(x)
     out = np.empty(n, dtype=np.float64)
     for i in range(n):
-        x = _advance(params, x, fold)
+        x = step(x)
         out[i] = x
     return out
 
@@ -248,8 +351,8 @@ def _libm_pow(x: np.ndarray, exponent: float) -> np.ndarray:
 class _Orbits:
     """Orbits of one map at many control values, advanced in lockstep.
 
-    Element k performs exactly the float operations of `_advance` (and of
-    `map_derivative`) at control value a[k]; see the module docstring.
+    Element k performs exactly the float operations of the scalar orbit step
+    (and of `map_derivative`) at control value a[k]; see the module docstring.
     Nothing is raised or warned here.  A non-finite value stays non-finite
     in every later state (NaN or inf in, NaN or inf out), so a non-finite
     final state marks an orbit that the scalar code would have stopped, and
@@ -266,7 +369,7 @@ class _Orbits:
         self.reseeded = False
 
     def step(self) -> None:
-        """Advance every orbit by one `_advance`."""
+        """Advance every orbit by one step of `_kernel`."""
         x, a = self.x, self.a
         if self.kind is MapKind.AHYB:
             low = x < 1.5
@@ -340,11 +443,13 @@ def bifurcation_scan(
         raise ParamOutOfRange(
             f"param_lo must not exceed param_hi, got {param_lo!r} > {param_hi!r}"
         )
+    if transient < 0 or samples < 0:
+        raise ValueError("transient and n must be non-negative")
     values = np.linspace(param_lo, param_hi, steps)
     out = np.empty((steps * samples, 2), dtype=np.float64)
     out[:, 0] = np.repeat(values, samples)
     states = None
-    if steps >= _LOCKSTEP_MIN_WIDTH[kind] and transient >= 0 and samples >= 0:
+    if steps >= _LOCKSTEP_MIN_WIDTH[kind]:
         states = _scan_lockstep(kind, values, x0, transient, samples, branch_mode)
     if states is None:
         for k, p in enumerate(values):
@@ -366,21 +471,23 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    fold = params.kind is MapKind.AHYB
+    if transient < 0:
+        raise ValueError("transient must be non-negative")
+    step, deriv = _kernel(params)
     x = float(x0)
+    _check_start(x, "map_step" if transient else "map_derivative")
     for _ in range(transient):
-        x = _advance(params, x, fold)
+        x = step(x)
+    log = math.log
     total = 0.0
-    used = 0
     skipped = 0
     for _ in range(n):
-        d = abs(map_derivative(params, x))
+        d = abs(deriv(x))
         if d < DERIVATIVE_FLOOR:
             skipped += 1
         else:
-            total += math.log(d)
-            used += 1
-        x = _advance(params, x, fold)
+            total += log(d)
+        x = step(x)
     if skipped:
         if skipped > 0.01 * n:
             raise DerivativeZero(
@@ -391,7 +498,7 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
             DerivativeSkipWarning,
             stacklevel=2,
         )
-    return total / used
+    return total / (n - skipped)
 
 
 def _lyapunov_lockstep(kind, values, x0, transient, n, branch_mode):
@@ -432,8 +539,11 @@ def lyapunov_sweep(
 
     Estimates, warnings and errors equal those of calling `lyapunov` once
     per value, in order; wide sweeps step every orbit in lockstep.  An empty
-    `values` returns an empty array.
+    `values` returns an empty array.  A negative `transient` is rejected
+    up front, whatever `values` holds.
     """
+    if transient < 0:
+        raise ValueError("transient must be non-negative")
     values = np.asarray(values, dtype=np.float64)
     if (len(values) >= _LOCKSTEP_MIN_WIDTH[kind] and n >= 1
             and all(_in_range(kind, v) for v in values.tolist())):

@@ -9,10 +9,16 @@ checked against it.  `lp_direct` is itself a matrix product, so it is not an
 independent route for linear probability.  `refine_reference` is the defining
 sequential hill climb: one full transform per scheduled swap, reverted unless
 the objective strictly improves.  The library's block-scored climb must match
-it exactly.  `bifurcation_reference` and `lyapunov_sweep_reference` run one
-scalar orbit per parameter value, which the lockstep sweeps must match bit
-for bit, warnings and errors included.
+it exactly.  `iterate_reference` and `lyapunov_reference` are the orbit
+loops written with the public `map_step`, `map_derivative` and
+`renormalize`, one call each per step; the library's single-orbit kernel must
+match them bit for bit, warnings and errors included.
+`bifurcation_reference` and `lyapunov_sweep_reference` run one such orbit per
+parameter value, which the lockstep sweeps must match in the same way.
 """
+
+import math
+import warnings
 
 import numpy as np
 
@@ -23,7 +29,16 @@ from sboxkit.generator import (
     _check_key_field,
     _index_step,
 )
-from sboxkit.maps import MapParams, iterate, lyapunov
+from sboxkit.errors import DegenerateOrbitWarning, DerivativeSkipWarning, DerivativeZero
+from sboxkit.maps import (
+    DERIVATIVE_FLOOR,
+    RESEED,
+    MapKind,
+    MapParams,
+    map_derivative,
+    map_step,
+    renormalize,
+)
 from sboxkit.metrics import as_sbox, fwht, mask_sign_matrix
 
 
@@ -172,19 +187,82 @@ def refine_reference(box, c: int, d: int, e: float, f: float,
     return table, RefineStats(config.budget, accepted, initial, best)
 
 
+def _advance(params, x: float) -> float:
+    """One orbit step: the raw map, then for AHYB the fold and the reseed of a 0."""
+    x = map_step(params, x)
+    if params.kind is MapKind.AHYB:
+        x = renormalize(x)
+        if x == 0.0:
+            warnings.warn(
+                "folded state hit 0 exactly; reseeding to 1e-12",
+                DegenerateOrbitWarning,
+                stacklevel=3,
+            )
+            x = RESEED
+    return x
+
+
+def iterate_reference(params, x0, transient, n) -> np.ndarray:
+    """The `n` states after `transient` discarded steps, one `_advance` per step."""
+    if transient < 0 or n < 0:
+        raise ValueError("transient and n must be non-negative")
+    x = float(x0)
+    for _ in range(transient):
+        x = _advance(params, x)
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        x = _advance(params, x)
+        out[i] = x
+    return out
+
+
+def lyapunov_reference(params, x0, transient, n) -> float:
+    """Mean of ln|map_derivative| over `n` states after `transient` steps."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if transient < 0:
+        raise ValueError("transient must be non-negative")
+    x = float(x0)
+    for _ in range(transient):
+        x = _advance(params, x)
+    total = 0.0
+    used = 0
+    skipped = 0
+    for _ in range(n):
+        d = abs(map_derivative(params, x))
+        if d < DERIVATIVE_FLOOR:
+            skipped += 1
+        else:
+            total += math.log(d)
+            used += 1
+        x = _advance(params, x)
+    if skipped:
+        if skipped > 0.01 * n:
+            raise DerivativeZero(
+                f"{skipped} of {n} samples had |f'| < {DERIVATIVE_FLOOR:g}"
+            )
+        warnings.warn(
+            f"skipped {skipped} of {n} Lyapunov samples with |f'| < {DERIVATIVE_FLOOR:g}",
+            DerivativeSkipWarning,
+            stacklevel=2,
+        )
+    return total / used
+
+
 def bifurcation_reference(kind, param_lo, param_hi, steps, x0, transient, samples,
                           branch_mode) -> np.ndarray:
-    """The parameter scan as a loop of single orbits: one `iterate` per value."""
+    """The parameter scan as a loop of single orbits: one `iterate_reference` per value."""
     values = np.linspace(param_lo, param_hi, steps)
     out = np.empty((steps * samples, 2), dtype=np.float64)
     for k, p in enumerate(values):
         block = out[k * samples:(k + 1) * samples]
         block[:, 0] = p
-        block[:, 1] = iterate(MapParams(kind, float(p), branch_mode), x0, transient, samples)
+        block[:, 1] = iterate_reference(MapParams(kind, float(p), branch_mode), x0, transient,
+                                        samples)
     return out
 
 
 def lyapunov_sweep_reference(kind, values, x0, transient, n, branch_mode) -> np.ndarray:
-    """One `lyapunov` per parameter value, in order."""
-    return np.array([lyapunov(MapParams(kind, float(p), branch_mode), x0, transient, n)
+    """One `lyapunov_reference` per parameter value, in order."""
+    return np.array([lyapunov_reference(MapParams(kind, float(p), branch_mode), x0, transient, n)
                      for p in values], dtype=np.float64)

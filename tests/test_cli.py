@@ -331,6 +331,23 @@ def test_overflowing_orbit_is_an_input_error(command):
     assert res.stderr == "sboxkit: error: cannot convert float infinity to integer\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["lyapunov", "--param", "3.9", "--transient", "-5", "--n", "100"],
+     "transient must be non-negative"),
+    (["lyapunov", "--param-lo", "3", "--param-hi", "4", "--steps", "3", "--transient", "-5"],
+     "transient must be non-negative"),
+    (["bifurcate", "--param-lo", "3", "--param-hi", "4", "--samples", "-2"],
+     "transient and n must be non-negative"),
+    (["bifurcate", "--param-lo", "3", "--param-hi", "4", "--transient", "-1"],
+     "transient and n must be non-negative"),
+], ids=["lyapunov-param", "lyapunov-sweep", "bifurcate-samples", "bifurcate-transient"])
+def test_negative_counts_are_input_errors(args, message):
+    res = run_cli(*args, "--map", "logistic")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"sboxkit: error: {message}\n"
+
+
 def test_lyapunov_needs_param_or_sweep():
     res = run_cli("lyapunov", "--map", "logistic")
     assert res.returncode == 1

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -344,6 +344,21 @@ def test_lyapunov_sweep_empty_and_sample_count():
         lyapunov_sweep(MapKind.LOGISTIC, [3.0], 0.3, 10, 0)
 
 
+def test_lyapunov_rejects_negative_transient():
+    with pytest.raises(ValueError, match="transient must be non-negative"):
+        lyapunov(logistic(3.9), 0.3, transient=-5, n=100)
+    for values in ([], [3.9], np.linspace(3.5, 3.9, WIDE)):
+        with pytest.raises(ValueError, match="transient must be non-negative"):
+            lyapunov_sweep(MapKind.LOGISTIC, values, 0.3, -5, 100)
+
+
+@pytest.mark.parametrize("steps", [2, WIDE])
+@pytest.mark.parametrize("transient, samples", [(-1, 5), (10, -2), (-1, -2)])
+def test_bifurcation_rejects_negative_transient_or_samples(steps, transient, samples):
+    with pytest.raises(ValueError, match="^transient and n must be non-negative$"):
+        bifurcation_scan(MapKind.LOGISTIC, 3.0, 3.5, steps, 0.3, transient, samples)
+
+
 @pytest.mark.parametrize("width", [2, WIDE])
 def test_sweep_nonfinite_logistic_raises_scalar_message(width):
     values = np.linspace(3.0, 3.5, width)
@@ -423,3 +438,46 @@ def test_wide_clean_sweeps_step_in_lockstep(monkeypatch):
         assert bifurcation_scan(kind, lo, hi, WIDE, 0.3, 50, 20, mode).tobytes() == scan.tobytes()
         got = lyapunov_sweep(kind, np.linspace(lo, hi, WIDE), 0.3, 50, 200, mode)
         assert got.tobytes() == les.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the single-orbit kernel against loops of map_step / map_derivative calls
+
+def orbit_outcome(call):
+    """Result bits or exception of `call`, and each warning with the file it names."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", np.asarray(call()).tobytes())
+        except Exception as exc:  # noqa: BLE001 - the type is compared
+            result = ("raised", type(exc), str(exc))
+    return result, [(w.category, str(w.message), w.filename) for w in seen]
+
+
+# Branch boundaries, the state that folds to 0 at A = 1, the reference maps'
+# critical point, and states that overflow a step, the fold or a derivative.
+X0_EDGES = (1.5, 3.0, 4.0 / 3.0, 0.5, 1e150, 1e200, 1e308, -1e308,
+            math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def orbit_cases(draw):
+    kind = draw(st.sampled_from(list(MapKind)))
+    control = draw(st.one_of(st.just(1.0), st.floats(*PARAM_BOUNDS[kind])))
+    x0 = draw(st.one_of(st.sampled_from(X0_EDGES), st.floats(*X0_BOUNDS[kind]), st.floats()))
+    return MapParams(kind, control, draw(st.sampled_from(list(BranchMode)))), x0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=orbit_cases(), transient=st.integers(-2, 30), n=st.integers(-2, 300))
+@example(case=(ahyb(1.0), 4.0 / 3.0), transient=0, n=5)
+@example(case=(ahyb(1.0, BranchMode.ALGORITHM1), 4.0 / 3.0), transient=0, n=5)
+@example(case=(ahyb(0.7), 1.5), transient=0, n=3)
+@example(case=(ahyb(0.7), 3.0), transient=0, n=3)
+@example(case=(logistic(3.0), 0.5), transient=0, n=200)
+def test_orbit_kernel_matches_reference_loops(case, transient, n):
+    params, x0 = case
+    got = orbit_outcome(lambda: iterate(params, x0, transient, n))
+    assert got == orbit_outcome(lambda: oracles.iterate_reference(params, x0, transient, n))
+    got = orbit_outcome(lambda: lyapunov(params, x0, transient, n))
+    assert got == orbit_outcome(lambda: oracles.lyapunov_reference(params, x0, transient, n))
