@@ -191,7 +191,10 @@ def map_step(params: MapParams, x: float) -> float:
     elif params.kind is MapKind.LOGISTIC:
         y = a * x * (1.0 - x)
     else:
-        y = a * math.sin(math.pi * x)
+        # pi * x overflows above about 5.7e307; NaN then reaches the check
+        # below, where libm sin would raise a bare ValueError
+        t = math.pi * x
+        y = a * math.sin(t) if math.isfinite(t) else math.nan
     if not math.isfinite(y):
         raise NonFiniteState(f"map_step produced non-finite value from x={x!r}")
     return y
@@ -214,7 +217,8 @@ def map_derivative(params: MapParams, x: float) -> float:
     elif params.kind is MapKind.LOGISTIC:
         d = a * (1.0 - 2.0 * x)
     else:
-        d = a * math.pi * math.cos(math.pi * x)
+        t = math.pi * x  # as in map_step
+        d = a * math.pi * math.cos(t) if math.isfinite(t) else math.nan
     if not math.isfinite(d):
         raise NonFiniteState(f"map_derivative produced non-finite value at x={x!r}")
     return d
@@ -229,8 +233,10 @@ def _kernel(params: MapParams):
     ``deriv(x)`` is ``map_derivative``.  Both perform the same float
     operations in the same order as those functions, and raise and warn as
     they do, except that they do not test their argument: the caller checks
-    the starting state once (``_check_start``), and every later state is
-    finite because ``step`` raises rather than return a non-finite value.
+    the starting state once, by calling on it the definition that its loop
+    calls first.  Every later state is finite, because ``step`` raises rather
+    than return a non-finite value, and a sine state is at most the
+    parameter in magnitude, so ``pi * x`` cannot overflow after the start.
     The reseed warning names the caller of the function that runs the loop.
     """
     a = params.control
@@ -315,12 +321,6 @@ def _kernel(params: MapParams):
     return step, deriv
 
 
-def _check_start(x: float, first: str) -> None:
-    """Raise as `first` (``map_step`` or ``map_derivative``) would on a non-finite start."""
-    if not math.isfinite(x):
-        raise NonFiniteState(f"{first} received non-finite state {x!r}")
-
-
 def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> np.ndarray:
     """Sample an orbit: discard `transient` steps, then record `n` states.
 
@@ -333,7 +333,7 @@ def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> 
     step, _ = _kernel(params)
     x = float(x0)
     if transient or n:  # an orbit of no steps never looks at x0
-        _check_start(x, "map_step")
+        map_step(params, x)  # the start check
     for _ in range(transient):
         x = step(x)
     out = np.empty(n, dtype=np.float64)
@@ -475,7 +475,7 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
         raise ValueError("transient must be non-negative")
     step, deriv = _kernel(params)
     x = float(x0)
-    _check_start(x, "map_step" if transient else "map_derivative")
+    (map_step if transient else map_derivative)(params, x)  # the start check
     for _ in range(transient):
         x = step(x)
     log = math.log

@@ -6,13 +6,17 @@ Walsh transform over each component's sign table, a second route to the
 library's single Hadamard matrix product for all 255 output masks.  The
 spectra-derived metrics (nonlinearity in both modes, linear probability) are
 checked against it.  `lp_direct` is itself a matrix product, so it is not an
-independent route for linear probability.  `refine_reference` is the defining
-sequential hill climb: one full transform per scheduled swap, reverted unless
-the objective strictly improves.  The library's block-scored climb must match
-it exactly.  `iterate_reference` and `lyapunov_reference` are the orbit
-loops written with the public `map_step`, `map_derivative` and
-`renormalize`, one call each per step; the library's single-orbit kernel must
-match them bit for bit, warnings and errors included.
+independent route for linear probability.  `_index_step` is one step of a
+swap-schedule recurrence, with `round15` and the index rounding as separate
+calls, and `swap_schedule_reference` pairs the two recurrences; the
+library's fused schedule loop must give the same indices.
+`refine_reference` is the defining sequential hill climb: one full transform
+per scheduled swap, reverted unless the objective strictly improves.  The
+library's critical-cell climb must match it exactly.  `iterate_reference`
+and `lyapunov_reference` are the orbit loops written with the public
+`map_step`, `map_derivative` and `renormalize`, one call each per step; the
+library's single-orbit kernel must match them bit for bit, warnings and
+errors included.
 `bifurcation_reference` and `lyapunov_sweep_reference` run one such orbit per
 parameter value, which the lockstep sweeps must match in the same way.
 """
@@ -27,9 +31,13 @@ from sboxkit.generator import (
     RefineConfig,
     RefineStats,
     _check_key_field,
-    _index_step,
 )
-from sboxkit.errors import DegenerateOrbitWarning, DerivativeSkipWarning, DerivativeZero
+from sboxkit.errors import (
+    DegenerateOrbitWarning,
+    DerivativeSkipWarning,
+    DerivativeZero,
+    NumericGuardTripped,
+)
 from sboxkit.maps import (
     DERIVATIVE_FLOOR,
     RESEED,
@@ -38,6 +46,7 @@ from sboxkit.maps import (
     map_derivative,
     map_step,
     renormalize,
+    round15,
 )
 from sboxkit.metrics import as_sbox, fwht, mask_sign_matrix
 
@@ -156,6 +165,34 @@ def _make_objective(table: np.ndarray, objective: Objective):
     return evaluate, swap_columns
 
 
+def _index_step(offset: int, state: float, reciprocal: bool) -> tuple:
+    """One guarded recurrence step; returns (next_state, swap_index)."""
+    s = state if state > 1e-12 else 1e-12
+    if reciprocal:
+        cs = math.cos(s)
+        while abs(cs) < 1e-12:
+            s += 1e-9
+            cs = math.cos(s)
+        v = offset + s**2.5 + 2.0 * math.log10(s) * math.log(s) + 1.0 / cs
+    else:
+        v = offset + s**2.5 + math.log10(s) * math.log(s) + math.cos(s)
+    v = round15(abs(v))
+    if not math.isfinite(v):
+        raise NumericGuardTripped(f"index recurrence produced {v!r}")
+    return abs(v % 256.0), int(math.floor(v + 0.5)) % 256
+
+
+def swap_schedule_reference(c: int, d: int, e: float, f: float, budget: int) -> list:
+    """The budget's (I, J) swap pairs, one `_index_step` of each recurrence per entry."""
+    x, y = float(e), float(f)
+    pairs = []
+    for _ in range(budget):
+        x, i = _index_step(c, x, reciprocal=True)
+        y, j = _index_step(d, y, reciprocal=False)
+        pairs.append((i, j))
+    return pairs
+
+
 def refine_reference(box, c: int, d: int, e: float, f: float,
                      config: RefineConfig = RefineConfig()) -> tuple:
     """Sequential hill climb: swap, re-transform, keep only strict gains."""
@@ -169,10 +206,7 @@ def refine_reference(box, c: int, d: int, e: float, f: float,
     best = evaluate()
     initial = best
     accepted = 0
-    x, y = float(e), float(f)
-    for _ in range(config.budget):
-        x, i = _index_step(c, x, reciprocal=True)
-        y, j = _index_step(d, y, reciprocal=False)
+    for i, j in swap_schedule_reference(c, d, e, f, config.budget):
         if i == j:
             continue
         table[i], table[j] = table[j], table[i]

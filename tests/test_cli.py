@@ -331,6 +331,19 @@ def test_overflowing_orbit_is_an_input_error(command):
     assert res.stderr == "sboxkit: error: cannot convert float infinity to integer\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["lyapunov", "--param", "2", "--n", "10"],
+    ["lyapunov", "--param-lo", "1", "--param-hi", "2", "--steps", "20", "--n", "10"],
+    ["bifurcate", "--param-lo", "1", "--param-hi", "2", "--steps", "20"],
+], ids=["lyapunov", "lyapunov-sweep", "bifurcate"])
+def test_overflowing_sine_start_is_an_input_error(args):
+    # pi * 1e308 is infinite; the error names the state, not a math domain
+    res = run_cli(*args, "--map", "sine", "--x0", "1e308")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == "sboxkit: error: map_step produced non-finite value from x=1e+308\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["lyapunov", "--param", "3.9", "--transient", "-5", "--n", "100"],
      "transient must be non-negative"),

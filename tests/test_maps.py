@@ -89,6 +89,20 @@ def test_step_nonfinite():
         map_step(ahyb(1.0), float("inf"))
 
 
+def test_sine_overflowing_state_raises_nonfinite():
+    # pi * x is infinite, where libm sin and cos raise a bare ValueError
+    with pytest.raises(NonFiniteState, match=r"^map_step produced non-finite value from x=1e\+308$"):
+        map_step(sine(2.0), 1e308)
+    with pytest.raises(NonFiniteState,
+                       match=r"^map_derivative produced non-finite value at x=1e\+308$"):
+        map_derivative(sine(2.0), 1e308)
+    with pytest.raises(NonFiniteState, match="^map_step produced"):
+        iterate(sine(2.0), 1e308, 0, 1)
+    with pytest.raises(NonFiniteState, match="^map_derivative produced"):
+        lyapunov(sine(2.0), 1e308, 0, 10)
+    assert map_step(sine(2.0), 5e307) == 2.0 * math.sin(math.pi * 5e307)
+
+
 def test_param_out_of_range():
     for bad in (0.0, 2.0, 2.5, -1.0, float("nan")):
         with pytest.raises(ParamOutOfRange):
@@ -359,7 +373,7 @@ def test_bifurcation_rejects_negative_transient_or_samples(steps, transient, sam
         bifurcation_scan(MapKind.LOGISTIC, 3.0, 3.5, steps, 0.3, transient, samples)
 
 
-@pytest.mark.parametrize("width", [2, WIDE])
+@pytest.mark.parametrize("width", [2, WIDE], ids=["narrow", "wide"])
 def test_sweep_nonfinite_logistic_raises_scalar_message(width):
     values = np.linspace(3.0, 3.5, width)
     got = outcome(lambda: lyapunov_sweep(MapKind.LOGISTIC, values, 1e200, 10, 100))
@@ -370,7 +384,7 @@ def test_sweep_nonfinite_logistic_raises_scalar_message(width):
     assert scan == outcome(lambda: iterate(logistic(3.0), 1e200, 10, 5))
 
 
-@pytest.mark.parametrize("width", [2, WIDE])
+@pytest.mark.parametrize("width", [2, WIDE], ids=["narrow", "wide"])
 def test_sweep_ahyb_overflow_raises_as_scalar(width):
     # y * 1e15 overflows inside round15 on the first step
     values = np.linspace(0.5, 1.5, width)
@@ -379,6 +393,19 @@ def test_sweep_ahyb_overflow_raises_as_scalar(width):
     assert got == outcome(lambda: lyapunov(ahyb(0.5), 1e150, 10, 100))
     scan = outcome(lambda: bifurcation_scan(MapKind.AHYB, 0.5, 1.5, width, 1e150, 10, 5))
     assert scan == outcome(lambda: iterate(ahyb(0.5), 1e150, 10, 5))
+
+
+@pytest.mark.parametrize("width", [2, WIDE], ids=["narrow", "wide"])
+def test_sweep_sine_overflowing_start_raises_scalar_message(width):
+    # pi * -1e308 overflows, so the first step cannot be taken
+    values = np.linspace(1.0, 2.0, width)
+    got = outcome(lambda: lyapunov_sweep(MapKind.SINE, values, -1e308, 10, 100))
+    assert got == outcome(lambda: lyapunov(sine(1.0), -1e308, 10, 100))
+    assert got[0] == ("raised", NonFiniteState,
+                      "map_step produced non-finite value from x=-1e+308")
+    scan = outcome(lambda: bifurcation_scan(MapKind.SINE, 1.0, 2.0, width, -1e308, 10, 5))
+    assert scan == outcome(lambda: iterate(sine(1.0), -1e308, 10, 5))
+    assert scan[0] == got[0]
 
 
 def test_sweep_derivative_skips_warn_then_raise_in_order():
