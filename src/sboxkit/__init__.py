@@ -24,7 +24,6 @@ from .errors import (
     NonBijectiveWarning,
     NonFiniteState,
     NotBijective,
-    NumericGuardTripped,
     ParamOutOfRange,
     ParseError,
     SBoxKitError,

@@ -6,12 +6,15 @@ with a trailing newline.  A hex variant uses two lowercase hex digits per
 cell.  A JSON variant is a bare array of 256 integers.
 
 Readers are lenient about whitespace layout (any arrangement of exactly 256
-tokens parses) but strict about content; writers always emit the canonical
-16x16 layout byte-for-byte deterministically.
+tokens parses) but strict about content: a token is one or more ASCII
+decimal digits, or ASCII hex digits in a hex grid, with no sign, prefix or
+underscore.  Writers always emit the canonical 16x16 layout byte-for-byte
+deterministically.
 """
 
 import enum
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -43,27 +46,31 @@ def save_sbox(path, box, fmt: BoxFormat = BoxFormat.DECIMAL_GRID) -> None:
     Path(path).write_text(format_grid(box, fmt), encoding="ascii")
 
 
+_DIGITS = {10: "0123456789", 16: "0123456789abcdefABCDEF"}
+# A character that is neither a digit of the base nor whitespace (as split()
+# sees it): only then can a token be invalid.
+_STRAY = {base: re.compile(rf"[^{digits}\s]") for base, digits in _DIGITS.items()}
+
+
 def _parse_tokens(text: str, base: int) -> np.ndarray:
+    digits = _DIGITS[base] if _STRAY[base].search(text) else None
     values = []
-    count = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
-        for col_no, token in enumerate(line.split(), start=1):
-            count += 1
-            if count > 256:
-                raise ParseError(f"expected 256 values, found more (line {line_no})")
-            try:
-                v = int(token, base)
-            except ValueError:
-                raise ParseError(
-                    f"invalid value {token!r} at row {line_no}, column {col_no}"
-                ) from None
-            if not 0 <= v <= 255:
+        tokens = line.split()
+        room = 256 - len(values)
+        for col_no, token in enumerate(tokens[:room], start=1):
+            if digits and token.strip(digits):  # holds a character that is not a digit
+                raise ParseError(f"invalid value {token!r} at row {line_no}, column {col_no}")
+            v = int(token, base)  # never negative: a token has no sign
+            if v > 255:
                 raise ParseError(
                     f"value {v} out of range [0, 255] at row {line_no}, column {col_no}"
                 )
             values.append(v)
-    if count != 256:
-        raise ParseError(f"expected 256 values, got {count}")
+        if len(tokens) > room:
+            raise ParseError(f"expected 256 values, found more (line {line_no})")
+    if len(values) != 256:
+        raise ParseError(f"expected 256 values, got {len(values)}")
     return np.array(values, dtype=np.uint8)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .boxfile import BoxFormat, load_sbox, save_sbox
 from .errors import GenerationStall, NotBijective, ParamOutOfRange, SBoxKitError
-from .generator import KeySpec, Objective, RefineConfig, generate
+from .generator import KEY_RANGES, KeySpec, Objective, RefineConfig, generate
 from .maps import BranchMode, MapKind, MapParams, bifurcation_scan, lyapunov
 from .metrics import NLMode, full_report
 from .reporting import (
@@ -35,9 +35,6 @@ from .reporting import (
     write_param_csv,
 )
 
-_KEY_FLAGS = ("x0", "a", "b", "c", "d", "e", "f")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage by default; 2 is reserved
     # for non-bijective input here, so route usage errors to 1.
@@ -46,14 +43,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _box_format(args) -> BoxFormat:
-    return BoxFormat.HEX_GRID if args.format == "hex" else BoxFormat.DECIMAL_GRID
-
-
 def _key_from_args(args) -> KeySpec:
-    flags_given = [n for n in _KEY_FLAGS if getattr(args, n) is not None]
+    flags = {name: getattr(args, name) for name in KEY_RANGES}
     if args.key_json is not None:
-        if flags_given:
+        if any(value is not None for value in flags.values()):
             raise ParamOutOfRange("--key-json cannot be combined with key field flags")
         raw = args.key_json
         if raw.lstrip().startswith("{"):
@@ -61,14 +54,13 @@ def _key_from_args(args) -> KeySpec:
         else:
             data = json.loads(Path(raw).read_text())
         return KeySpec.from_dict(data)
-    missing = [n for n in _KEY_FLAGS if getattr(args, n) is None]
+    missing = [name for name, value in flags.items() if value is None]
     if missing:
         raise ParamOutOfRange(
             f"missing key fields: {', '.join('--' + n for n in missing)} "
             "(or pass --key-json)"
         )
-    return KeySpec(x0=args.x0, a=args.a, b=args.b, c=args.c, d=args.d,
-                   e=args.e, f=args.f)
+    return KeySpec(**flags)
 
 
 def _cmd_generate(args) -> int:
@@ -78,11 +70,11 @@ def _cmd_generate(args) -> int:
     nl_mode = NLMode(args.nl_mode)
 
     box = generate(key, config, branch_mode)
-    save_sbox(args.out, box, _box_format(args))
+    save_sbox(args.out, box, BoxFormat(args.format))
     report = full_report(box, nl_mode)
     if args.report:
         manifest = run_manifest("generate", {
-            "key": {n: getattr(key, n) for n in _KEY_FLAGS},
+            "key": key.as_dict(),
             "budget": config.budget,
             "objective": config.objective.value,
             "branch_mode": branch_mode.value,
@@ -96,7 +88,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    box = load_sbox(args.path, _box_format(args), args.allow_non_bijective)
+    box = load_sbox(args.path, BoxFormat(args.format), args.allow_non_bijective)
     nl_mode = NLMode(args.nl_mode)
     report = full_report(box, nl_mode, args.allow_non_bijective)
     if args.json:
@@ -119,25 +111,21 @@ def _cmd_compare(args) -> int:
     nl_mode = NLMode(args.nl_mode)
     rows = []
     for raw in args.entries:
-        if raw in corpus_by_id:
-            rows.extend(corpus_mod.compare([corpus_by_id[raw]], nl_mode))
-            continue
-        path = Path(raw)
-        if not path.exists():
-            rows.append(corpus_mod.ComparisonRow(
-                id=raw, label=raw, published_only=False,
-                error=f"unknown corpus id or file: {raw}"))
-            continue
+        path, name = Path(raw), raw
         try:
-            table = load_sbox(path, _box_format(args))
+            if raw in corpus_by_id:
+                entry = corpus_by_id[raw]
+            elif path.exists():
+                name = path.stem
+                entry = corpus_mod.CorpusEntry(
+                    id=name, label=name, source=str(path),
+                    table=load_sbox(path, BoxFormat(args.format)))
+            else:
+                raise SBoxKitError(f"unknown corpus id or file: {raw}")
         except SBoxKitError as exc:
-            rows.append(corpus_mod.ComparisonRow(
-                id=path.stem, label=path.stem, published_only=False,
-                error=str(exc)))
-            continue
-        entry = corpus_mod.CorpusEntry(
-            id=path.stem, label=path.stem, source=str(path), table=table)
-        rows.extend(corpus_mod.compare([entry], nl_mode))
+            rows.append(corpus_mod.ComparisonRow(id=name, label=name, error=str(exc)))
+        else:
+            rows.extend(corpus_mod.compare([entry], nl_mode))
     out = comparison_csv(rows) if args.csv else comparison_markdown(rows)
     sys.stdout.write(out)
     if args.csv:
@@ -200,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate an S-box from a key")
-    for name in _KEY_FLAGS:
-        kind = int if name in ("b", "c", "d") else float
-        g.add_argument("--" + name, type=kind, default=None,
+    for name, (_, _, integer) in KEY_RANGES.items():
+        g.add_argument("--" + name, type=int if integer else float, default=None,
                        help=f"key field {name}")
     g.add_argument("--key-json", default=None,
                    help="key as a JSON object (inline or a file path)")

@@ -10,6 +10,10 @@ constants flagged as "published".
 ``compare`` computes the full battery for entries with bytes and echoes the
 stored row for published-only entries, keeping input order and never letting
 one bad row abort the rest.
+
+``PUBLISHED_FIELDS`` is the one map from a published column to the
+``MetricReport`` attribute it reports, read through ``published_values``;
+the deltas, the comparison table and the ``analyze --md`` row all use it.
 """
 
 import copy
@@ -23,9 +27,18 @@ import numpy as np
 from .boxfile import BoxFormat, load_sbox
 from .metrics import MetricReport, NLMode, full_report
 
-# Metric columns a published row may carry, in presentation order.
-PUBLISHED_FIELDS = ("nl_min", "nl_max", "nl_avg", "sac", "sac_offset",
-                    "bic_nl", "lp", "dp", "fp")
+# Metric columns a published row may carry, in presentation order, each
+# with the MetricReport attribute that computes it.
+PUBLISHED_FIELDS = {
+    "nl_min": "nl_min", "nl_max": "nl_max", "nl_avg": "nl_avg",
+    "sac": "sac_avg", "sac_offset": "sac_offset", "bic_nl": "bic_nl_avg",
+    "lp": "lp", "dp": "dp", "fp": "fixed_point_count",
+}
+
+
+def published_values(report: MetricReport) -> dict:
+    """The published columns of `report`, in presentation order."""
+    return {name: getattr(report, attr) for name, attr in PUBLISHED_FIELDS.items()}
 
 
 @dataclass
@@ -49,12 +62,15 @@ class ComparisonRow:
 
     id: str
     label: str
-    published_only: bool
     report: MetricReport | None = None
     published: dict | None = None
     note: str | None = None
     error: str | None = None
     deltas: list = field(default_factory=list)
+
+    @property
+    def published_only(self) -> bool:
+        return self.report is None and self.error is None
 
 
 def _data_text(name: str) -> str:
@@ -116,17 +132,7 @@ def published_deltas(report: MetricReport, published: dict) -> list:
     Floats match when they agree to the precision the published value was
     rounded at (half an ulp of its last printed decimal).
     """
-    computed = {
-        "nl_min": report.nl_min,
-        "nl_max": report.nl_max,
-        "nl_avg": report.nl_avg,
-        "sac": report.sac_avg,
-        "sac_offset": report.sac_offset,
-        "bic_nl": report.bic_nl_avg,
-        "lp": report.lp,
-        "dp": report.dp,
-        "fp": report.fixed_point_count,
-    }
+    computed = published_values(report)
     out = []
     for name in PUBLISHED_FIELDS:
         if name not in published:
@@ -165,22 +171,16 @@ def compare(entries, nl_mode: NLMode = NLMode.COORDINATE) -> list:
     for entry in entries:
         note = " / ".join(s for s in (entry.note, entry.data_quality) if s) or None
         if entry.table is None:
-            rows.append(ComparisonRow(
-                id=entry.id, label=entry.label, published_only=True,
-                published=entry.published, note=note,
-            ))
+            rows.append(ComparisonRow(id=entry.id, label=entry.label,
+                                      published=entry.published, note=note))
             continue
         try:
             report = full_report(entry.table, nl_mode)
         except Exception as exc:  # keep remaining rows alive
-            rows.append(ComparisonRow(
-                id=entry.id, label=entry.label, published_only=False,
-                note=note, error=str(exc),
-            ))
+            rows.append(ComparisonRow(id=entry.id, label=entry.label, note=note,
+                                      error=str(exc)))
             continue
         deltas = published_deltas(report, entry.published) if entry.published else []
-        rows.append(ComparisonRow(
-            id=entry.id, label=entry.label, published_only=False,
-            report=report, published=entry.published, note=note, deltas=deltas,
-        ))
+        rows.append(ComparisonRow(id=entry.id, label=entry.label, report=report,
+                                  published=entry.published, note=note, deltas=deltas))
     return rows

@@ -29,10 +29,6 @@ class ParseError(SBoxKitError, ValueError):
     """An S-box file could not be parsed."""
 
 
-class NumericGuardTripped(SBoxKitError, ArithmeticError):
-    """A guarded index recurrence still produced a non-finite value."""
-
-
 class DegenerateOrbitWarning(UserWarning):
     """A folded state hit exactly 0 and was reseeded to 1e-12."""
 

@@ -45,11 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GenerationStall,
-    NumericGuardTripped,
-    ParamOutOfRange,
-)
+from .errors import GenerationStall, ParamOutOfRange
 from .maps import BranchMode, MapKind, MapParams, _kernel
 from .metrics import (
     COORD_MASKS,
@@ -169,6 +165,8 @@ class RefineConfig:
     objective: Objective = Objective.SUM_COORDINATE_NL
 
     def __post_init__(self):
+        if isinstance(self.budget, bool) or not isinstance(self.budget, (int, np.integer)):
+            raise ParamOutOfRange(f"budget must be an integer, got {self.budget!r}")
         if self.budget < 0:
             raise ParamOutOfRange(f"budget must be >= 0, got {self.budget}")
 
@@ -190,7 +188,7 @@ def initial_sbox(x0: float, a: float, b: int,
     without placing a value.
     """
     _check_key_field("x0", x0)
-    _check_key_field("b", int(b))
+    _check_key_field("b", b)
     step, _ = _kernel(MapParams(MapKind.AHYB, a, branch_mode))  # validates a
 
     table = np.empty(256, dtype=np.uint8)
@@ -223,10 +221,13 @@ def _swap_schedule(c: int, d: int, e: float, f: float, budget: int) -> tuple:
     """The budget's swap indices (I, J) as uint8 arrays, from both recurrences.
 
     The rounded values are never negative, so round15 and the index rounding
-    are floor(v + 0.5), and |v mod 256| is v mod 256.
+    are floor(v + 0.5), and |v mod 256| is v mod 256.  They are also always
+    finite: a state s is clamped into [1e-12, 256) (plus at most a 1e-9
+    nudge), the nudge leaves |cos(s)| >= 1e-12, and c, d < 1e9, so
+    |v| < 1.01e12 and v * 1e15 is far below the float range.
     """
     si, sj = bytearray(budget), bytearray(budget)
-    floor, log10, log, cos, isfinite = math.floor, math.log10, math.log, math.cos, math.isfinite
+    floor, log10, log, cos = math.floor, math.log10, math.log, math.cos
     x, y = float(e), float(f)
     for k in range(budget):
         s = x if x > 1e-12 else 1e-12
@@ -235,13 +236,9 @@ def _swap_schedule(c: int, d: int, e: float, f: float, budget: int) -> tuple:
             s += 1e-9
             cs = cos(s)
         v = floor(abs(c + s**2.5 + 2.0 * log10(s) * log(s) + 1.0 / cs) * 1e15 + 0.5) / 1e15
-        if not isfinite(v):
-            raise NumericGuardTripped(f"index recurrence produced {v!r}")
         x, si[k] = v % 256.0, floor(v + 0.5) & 255
         s = y if y > 1e-12 else 1e-12
         v = floor(abs(d + s**2.5 + log10(s) * log(s) + cos(s)) * 1e15 + 0.5) / 1e15
-        if not isfinite(v):
-            raise NumericGuardTripped(f"index recurrence produced {v!r}")
         y, sj[k] = v % 256.0, floor(v + 0.5) & 255
     return np.frombuffer(si, np.uint8), np.frombuffer(sj, np.uint8)
 

@@ -251,7 +251,7 @@ def _kernel(params: MapParams):
     if params.kind is MapKind.AHYB:
         two_plus_a = 2.0 + a
         alg1 = params.branch_mode is BranchMode.ALGORITHM1
-        floor, ceil = math.floor, math.ceil
+        floor = math.floor
 
         def step(x):
             if x < 1.5:
@@ -264,9 +264,8 @@ def _kernel(params: MapParams):
                 y = x * (a - x)
             if not isfinite(y):
                 nonfinite_step(x)
-            v = y * 1e15
-            r = floor(v + 0.5) / 1e15 if v >= 0.0 else ceil(v - 0.5) / 1e15  # round15(y)
-            x = 4.0 * (abs(r) % 1.0)  # renormalize(y)
+            # renormalize(y); round15 is odd, so |round15(y)| is floor(|y| * 1e15 + 0.5) / 1e15
+            x = 4.0 * (floor(abs(y) * 1e15 + 0.5) / 1e15 % 1.0)
             if x == 0.0:
                 warnings.warn(
                     "folded state hit 0 exactly; reseeding to 1e-12",
@@ -356,7 +355,9 @@ class _Orbits:
     Nothing is raised or warned here.  A non-finite value stays non-finite
     in every later state (NaN or inf in, NaN or inf out), so a non-finite
     final state marks an orbit that the scalar code would have stopped, and
-    `reseeded` records that some orbit would have warned.
+    `reseeded` records that some orbit would have warned.  `step` also
+    reports a non-finite state after the first step, where a scalar orbit
+    from a bad start raises, so that a pass can be given up at once.
     """
 
     def __init__(self, kind: MapKind, a: np.ndarray, x0: float, branch_mode: BranchMode):
@@ -367,9 +368,13 @@ class _Orbits:
         self.a_pi = a * math.pi
         self.x = np.full(a.shape, float(x0))
         self.reseeded = False
+        self.started = False
 
-    def step(self) -> None:
-        """Advance every orbit by one step of `_kernel`."""
+    def step(self) -> bool:
+        """Advance every orbit by one step of `_kernel`.
+
+        False if this was the first step and it left some state non-finite.
+        """
         x, a = self.x, self.a
         if self.kind is MapKind.AHYB:
             low = x < 1.5
@@ -386,6 +391,8 @@ class _Orbits:
         else:
             x = a * np.sin(np.pi * x)
         self.x = x
+        started, self.started = self.started, True
+        return started or bool(np.isfinite(x).all())
 
     def abs_derivative(self, states: np.ndarray) -> np.ndarray:
         """|map_derivative| at `states`, an array whose rows are states of all orbits."""
@@ -408,9 +415,11 @@ def _scan_lockstep(kind, values, x0, transient, samples, branch_mode):
     states = np.empty((samples, len(values)), dtype=np.float64)
     with np.errstate(all="ignore"):
         for _ in range(transient):
-            orbits.step()
+            if not orbits.step():
+                return None
         for row in states:
-            orbits.step()
+            if not orbits.step():
+                return None
             row[:] = orbits.x
     if orbits.reseeded or not np.isfinite(orbits.x).all():
         return None
@@ -508,12 +517,14 @@ def _lyapunov_lockstep(kind, values, x0, transient, n, branch_mode):
     states = np.empty((max(1, _CHUNK_CELLS // len(values)), len(values)))
     with np.errstate(all="ignore"):
         for _ in range(transient):
-            orbits.step()
+            if not orbits.step():
+                return None
         for start in range(0, n, len(states)):
             chunk = states[:n - start]
             for row in chunk:
                 row[:] = orbits.x
-                orbits.step()
+                if not orbits.step():
+                    return None
             d = orbits.abs_derivative(chunk)
             if (d < DERIVATIVE_FLOOR).any():  # the scalar loop warns or raises
                 return None

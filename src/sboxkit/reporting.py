@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import PUBLISHED_FIELDS
+from .corpus import PUBLISHED_FIELDS, published_values
 from .metrics import MetricReport
 
 
@@ -60,13 +60,13 @@ def report_json(report: MetricReport, manifest: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_MD_FORMATS = {"sac": ".4f", "sac_offset": ".4f"}  # every other column: "g"
+
+
 def markdown_row(report: MetricReport, path) -> str:
     """One ``analyze --md`` table row, labelled with the file name of `path`."""
-    d = report_to_dict(report)
-    cells = [str(d["nl_min"]), str(d["nl_max"]), f"{d['nl_avg']:g}",
-             f"{d['sac_avg']:.4f}", f"{d['sac_offset']:.4f}",
-             f"{d['bic_nl_avg']:g}", f"{d['lp']:g}", f"{d['dp']:g}",
-             str(d["fixed_point_count"])]
+    cells = [format(v, _MD_FORMATS.get(name, "g"))
+             for name, v in published_values(report).items()]
     return "| " + Path(str(path)).name + " | " + " | ".join(cells) + " |"
 
 
@@ -119,20 +119,10 @@ def render_report_text(report: MetricReport) -> str:
 # ---------------------------------------------------------------------------
 # Comparison table rendering
 
-_COLUMNS = PUBLISHED_FIELDS
-
-
 def _row_values(row) -> dict:
-    if row.error is not None:
-        return {}
-    if row.published_only:
-        return dict(row.published or {})
-    r = row.report
-    return {
-        "nl_min": r.nl_min, "nl_max": r.nl_max, "nl_avg": r.nl_avg,
-        "sac": r.sac_avg, "sac_offset": r.sac_offset, "bic_nl": r.bic_nl_avg,
-        "lp": r.lp, "dp": r.dp, "fp": r.fixed_point_count,
-    }
+    if row.report is not None:
+        return published_values(row.report)
+    return (row.published or {}) if row.published_only else {}
 
 
 def _cell(value, decimals=4) -> str:
@@ -146,15 +136,15 @@ def _cell(value, decimals=4) -> str:
 
 
 def comparison_markdown(rows) -> str:
-    header = "| S-box | " + " | ".join(_COLUMNS) + " | published | note |"
-    rule = "|" + "---|" * (len(_COLUMNS) + 3)
+    header = "| S-box | " + " | ".join(PUBLISHED_FIELDS) + " | published | note |"
+    rule = "|" + "---|" * (len(PUBLISHED_FIELDS) + 3)
     lines = [header, rule]
     for row in rows:
         if row.error is not None:
-            cells = ["error: " + row.error] + ["-"] * (len(_COLUMNS) - 1)
+            cells = ["error: " + row.error] + ["-"] * (len(PUBLISHED_FIELDS) - 1)
         else:
             values = _row_values(row)
-            cells = [_cell(values.get(name)) for name in _COLUMNS]
+            cells = [_cell(values.get(name)) for name in PUBLISHED_FIELDS]
         lines.append(
             "| " + row.label + " | " + " | ".join(cells) + " | "
             + ("yes" if row.published_only else "no") + " | "
@@ -168,11 +158,11 @@ def comparison_markdown(rows) -> str:
 
 
 def comparison_csv(rows) -> str:
-    lines = ["id," + ",".join(_COLUMNS) + ",published,error"]
+    lines = ["id," + ",".join(PUBLISHED_FIELDS) + ",published,error"]
     for row in rows:
         values = _row_values(row)
         cells = []
-        for name in _COLUMNS:
+        for name in PUBLISHED_FIELDS:
             v = values.get(name)
             if v is None:
                 cells.append("")

@@ -36,7 +36,6 @@ from sboxkit.errors import (
     DegenerateOrbitWarning,
     DerivativeSkipWarning,
     DerivativeZero,
-    NumericGuardTripped,
 )
 from sboxkit.maps import (
     DERIVATIVE_FLOOR,
@@ -177,8 +176,7 @@ def _index_step(offset: int, state: float, reciprocal: bool) -> tuple:
     else:
         v = offset + s**2.5 + math.log10(s) * math.log(s) + math.cos(s)
     v = round15(abs(v))
-    if not math.isfinite(v):
-        raise NumericGuardTripped(f"index recurrence produced {v!r}")
+    assert math.isfinite(v), f"index recurrence produced {v!r}"  # the guards bound |v|
     return abs(v % 256.0), int(math.floor(v + 0.5)) % 256
 
 

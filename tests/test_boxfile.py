@@ -86,6 +86,33 @@ def test_parse_bad_token_location():
         parse_grid(text)
 
 
+def _grid_with(token, fmt, index=37):
+    cells = format_grid(BOX, fmt).split()
+    cells[index] = token  # index 37 is row 3 (1-based), column 6
+    return "\n".join(" ".join(cells[r * 16:(r + 1) * 16]) for r in range(16))
+
+
+@pytest.mark.parametrize("fmt", [BoxFormat.DECIMAL_GRID, BoxFormat.HEX_GRID],
+                         ids=["dec", "hex"])
+@pytest.mark.parametrize("token", ["+0", "-0", "0_0", "0x0", "+25", "2_5",
+                                   "\u0662\u0665", "\uff12\uff15"],
+                         ids=["+0", "-0", "0_0", "0x0", "+25", "2_5",
+                              "arabic-indic-25", "fullwidth-25"])
+def test_parse_rejects_signs_prefixes_underscores_and_non_ascii_digits(token, fmt):
+    with pytest.raises(ParseError) as info:
+        parse_grid(_grid_with(token, fmt), fmt)
+    assert str(info.value) == f"invalid value {token!r} at row 3, column 6"
+
+
+@pytest.mark.parametrize("fmt, token, value", [
+    (BoxFormat.DECIMAL_GRID, "0037", 37),
+    (BoxFormat.HEX_GRID, "025", 37),
+    (BoxFormat.HEX_GRID, "2F", 47),
+])
+def test_parse_accepts_leading_zeros_and_upper_case_hex(fmt, token, value):
+    assert parse_grid(_grid_with(token, fmt), fmt)[37] == value
+
+
 def test_parse_json_errors():
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_grid("{oops", BoxFormat.JSON)

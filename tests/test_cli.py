@@ -237,6 +237,20 @@ def test_compare_path_entry(aes_grid):
     assert lines[1].startswith("aes,112,112,112")
 
 
+def test_compare_error_rows_keep_their_ids(tmp_path, capsys):
+    # an unknown entry keeps the raw argument as its id, a file its stem
+    bad = tmp_path / "bad.sbox"
+    bad.write_text("1 2 zz\n")
+    dup = tmp_path / "dup.sbox"
+    save_sbox(dup, np.zeros(256, dtype=np.uint8))
+    assert cli.main(["compare", "--csv", "mystery-box", str(bad), str(dup), "aes"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        "mystery-box" + "," * 9 + ",no,unknown corpus id or file: mystery-box",
+        "bad" + "," * 9 + ",no,invalid value 'zz' at row 1, column 3",
+        "dup" + "," * 9 + ",no,table is not a permutation of 0..255",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # bifurcate / lyapunov
 

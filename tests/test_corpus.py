@@ -13,6 +13,7 @@ from sboxkit import (
     parse_grid,
     published_deltas,
 )
+from sboxkit.corpus import PUBLISHED_FIELDS, published_values
 from sboxkit.reporting import comparison_csv, comparison_markdown, deltas_section
 
 
@@ -102,6 +103,21 @@ def test_compare_keeps_going_past_bad_rows():
     assert rows[0].error is None
     assert rows[1].error is not None
     assert rows[2].error is None
+
+
+def test_published_only_follows_row_state():
+    broken = CorpusEntry(id="broken", label="broken", source="t",
+                         table=np.zeros(256, dtype=np.uint8))
+    rows = compare([get_entry("aes"), broken, get_entry("ref-14")])
+    assert [r.published_only for r in rows] == [False, False, True]
+
+
+def test_published_values_read_the_mapped_attributes():
+    report = full_report(get_entry("paper-proposed").table)
+    values = published_values(report)
+    assert list(values) == list(PUBLISHED_FIELDS)
+    assert (values["sac"], values["bic_nl"], values["fp"]) == (
+        report.sac_avg, report.bic_nl_avg, report.fixed_point_count)
 
 
 def test_ref28_carries_data_quality_flag():

@@ -134,6 +134,14 @@ def test_initial_sbox_validates_ranges():
         initial_sbox(0.7, 1.3, 999)
 
 
+@pytest.mark.parametrize("b", [7317130.9, 7317130.0, True, np.float64(7317130)],
+                         ids=["fraction", "integral-float", "bool", "numpy-float"])
+def test_initial_sbox_rejects_non_integer_b(b):
+    # b itself must be an integer: a real b is rejected, never truncated
+    with pytest.raises(ParamOutOfRange, match="key field b"):
+        initial_sbox(0.3, 1.0, b)
+
+
 def test_initial_sbox_stalls_on_degenerate_orbit(monkeypatch):
     import sboxkit.generator as gen
     from sboxkit import GenerationStall
@@ -149,6 +157,17 @@ def test_initial_sbox_stalls_on_degenerate_orbit(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # refine_sbox
+
+@pytest.mark.parametrize("budget", [True, False, 2.0, 1.5, "64", None],
+                         ids=["True", "False", "2.0", "1.5", "str", "None"])
+def test_refine_config_rejects_non_integer_budget(budget):
+    with pytest.raises(ParamOutOfRange, match="budget must be an integer"):
+        RefineConfig(budget=budget)
+
+
+def test_refine_config_takes_numpy_integer_budget():
+    assert RefineConfig(budget=np.int64(64)).budget == 64
+
 
 def test_refine_budget_zero_is_identity():
     box = initial_sbox(0.7, 1.3, 55_555_555)
@@ -295,6 +314,9 @@ def test_refine_scores_cells_below_the_peak(monkeypatch, objective):
 # state of 1e-13 is clamped to 1e-12 before the log terms
 @example(c=731713, d=167527, e=math.pi / 2, f=0.5, budget=64)
 @example(c=731713, d=167527, e=1e-13, f=1e-13, budget=64)
+# the largest offsets with the guards: the bound on |v| in _swap_schedule
+@example(c=10**9 - 1, d=10**9 - 1, e=1e-13, f=1e-13, budget=64)
+@example(c=10**9 - 1, d=10**9 - 1, e=math.pi / 2, f=math.pi / 2, budget=64)
 def test_swap_schedule_matches_reference(c, d, e, f, budget):
     i, j = _swap_schedule(c, d, e, f, budget)
     assert i.dtype == j.dtype == np.uint8

@@ -408,6 +408,25 @@ def test_sweep_sine_overflowing_start_raises_scalar_message(width):
     assert scan[0] == got[0]
 
 
+@pytest.mark.parametrize("transient", [0, 1000])
+@pytest.mark.parametrize("kind, lo, hi, x0", [(MapKind.SINE, 1.0, 2.0, 1e308),
+                                              (MapKind.AHYB, 0.5, 1.5, 1e150)],
+                         ids=["sine", "ahyb"])
+def test_lockstep_gives_up_after_failed_first_step(monkeypatch, kind, lo, hi, x0, transient):
+    # every orbit is NaN after one step, so the scalar error follows at once
+    steps = []
+    step = maps._Orbits.step
+    monkeypatch.setattr(maps._Orbits, "step", lambda self: steps.append(1) or step(self))
+    values = np.linspace(lo, hi, WIDE)
+    got = outcome(lambda: lyapunov_sweep(kind, values, x0, transient, 10000))
+    assert len(steps) == 1 and got[0][0] == "raised"
+    assert got == outcome(lambda: lyapunov(MapParams(kind, lo), x0, transient, 10000))
+    steps.clear()
+    scan = outcome(lambda: bifurcation_scan(kind, lo, hi, WIDE, x0, transient, 200))
+    assert len(steps) == 1 and scan[0][0] == "raised"
+    assert scan == outcome(lambda: iterate(MapParams(kind, lo), x0, transient, 200))
+
+
 def test_sweep_derivative_skips_warn_then_raise_in_order():
     # From x0 = 0.5 the logistic map's first sample has f' = 0.  At b = 4 and
     # b = 3 that one skip of 200 warns; at b = 2 the orbit stays at 0.5, every

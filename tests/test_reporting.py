@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from sboxkit import full_report, get_entry
+from sboxkit.corpus import published_values
 from sboxkit.reporting import format_real, markdown_row, write_param_csv
 
 
@@ -27,3 +29,13 @@ def test_markdown_row_cells():
     assert cells[0] == "aes.sbox"
     assert cells[1:3] == ["112", "112"]
     assert len(cells) == 10
+
+
+def test_markdown_row_cells_are_the_published_columns():
+    report = full_report(get_entry("paper-proposed").table)
+    row = markdown_row(report, "proposed.sbox")
+    cells = [c.strip() for c in row.strip("|").split("|")][1:]
+    values = published_values(report)
+    assert len(cells) == len(values)
+    assert [float(c) for c in cells] == pytest.approx(
+        [float(v) for v in values.values()], rel=1e-5, abs=5e-5)
