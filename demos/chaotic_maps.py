@@ -22,7 +22,7 @@ from sboxkit import (
     map_step,
     renormalize,
 )
-from sboxkit.reporting import format_real
+from sboxkit.reporting import write_param_csv
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_output")
 out_dir.mkdir(parents=True, exist_ok=True)
@@ -63,10 +63,7 @@ for name, kind, lo, hi in scans:
     pts = bifurcation_scan(kind, lo, hi, steps=400, x0=0.3,
                            transient=300, samples=60)
     path = out_dir / f"bifurcation_{name}.csv"
-    with path.open("w") as fh:
-        fh.write("param,x\n")
-        for param, x in pts:
-            fh.write(f"{format_real(param)},{format_real(x)}\n")
+    write_param_csv(path, "x", pts, 60)
     spread = np.ptp(pts[:, 1])
     print(f"  {name:9s} {len(pts):6d} points over [{lo}, {hi}] -> {path}"
           f"   (state spread {spread:.3f})")

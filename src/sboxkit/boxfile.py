@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .metrics import as_sbox
+from .metrics import _table, as_sbox
 
 
 class BoxFormat(enum.Enum):
@@ -30,14 +30,11 @@ class BoxFormat(enum.Enum):
 
 
 def format_grid(box, fmt: BoxFormat = BoxFormat.DECIMAL_GRID) -> str:
-    """Render a table in the requested format (canonical bytes)."""
-    t = np.asarray(box, dtype=np.uint8)
+    """Render a table of 256 bytes in the requested format (canonical bytes)."""
+    values = _table(box).tolist()
     if fmt is BoxFormat.JSON:
-        return json.dumps([int(v) for v in t]) + "\n"
-    if fmt is BoxFormat.HEX_GRID:
-        cells = [format(int(v), "02x") for v in t]
-    else:
-        cells = [str(int(v)) for v in t]
+        return json.dumps(values) + "\n"
+    cells = [format(v, "02x" if fmt is BoxFormat.HEX_GRID else "d") for v in values]
     rows = (" ".join(cells[r * 16 : (r + 1) * 16]) for r in range(16))
     return "\n".join(rows) + "\n"
 

@@ -169,6 +169,8 @@ class RefineConfig:
             raise ParamOutOfRange(f"budget must be an integer, got {self.budget!r}")
         if self.budget < 0:
             raise ParamOutOfRange(f"budget must be >= 0, got {self.budget}")
+        if not isinstance(self.objective, Objective):
+            raise ParamOutOfRange(f"objective must be an Objective, got {self.objective!r}")
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,27 @@ class DuResult(NamedTuple):
     grid: np.ndarray  # (16, 16) row maxima for dc = 1..255, final cell 0
 
 
+def _table(box) -> np.ndarray:
+    """`box` as a uint8 array, if it holds exactly 256 integers in 0..255.
+
+    The one table check: every function that takes a table calls it, and
+    anything else raises NotBijective rather than being coerced.
+    """
+    t = np.asarray(box)
+    if t.shape != (N,):
+        raise NotBijective(f"S-box must have exactly {N} entries, got shape {t.shape}")
+    if not np.issubdtype(t.dtype, np.integer):
+        raise NotBijective("S-box entries must be integers")
+    if t.min() < 0 or t.max() > 255:
+        raise NotBijective("S-box entries must lie in [0, 255]")
+    return t.astype(np.uint8)
+
+
 def is_bijective(table) -> bool:
-    t = np.asarray(table)
-    return t.shape == (N,) and len(np.unique(t)) == N
+    try:
+        return len(np.unique(_table(table))) == N
+    except NotBijective:
+        return False
 
 
 def as_sbox(table, allow_non_bijective: bool = False) -> np.ndarray:
@@ -92,14 +110,7 @@ def as_sbox(table, allow_non_bijective: bool = False) -> np.ndarray:
     set, in which case a NonBijectiveWarning is emitted and the raw table is
     returned.
     """
-    t = np.asarray(table)
-    if t.shape != (N,):
-        raise NotBijective(f"S-box must have exactly {N} entries, got shape {t.shape}")
-    if not np.issubdtype(t.dtype, np.integer):
-        raise NotBijective("S-box entries must be integers")
-    if t.min() < 0 or t.max() > 255:
-        raise NotBijective("S-box entries must lie in [0, 255]")
-    t = t.astype(np.uint8)
+    t = _table(table)
     if len(np.unique(t)) != N:
         if not allow_non_bijective:
             raise NotBijective("table is not a permutation of 0..255")
@@ -115,8 +126,7 @@ def component_bits(box, mask: int) -> np.ndarray:
     """Truth table of one component function: bits[x] = parity(mask & S(x))."""
     if not 1 <= mask <= 255:
         raise ValueError(f"output mask must lie in [1, 255], got {mask}")
-    t = np.asarray(box, dtype=np.uint8)
-    return _PARITY[t & np.uint8(mask)]
+    return _PARITY[_table(box) & np.uint8(mask)]
 
 
 def fwht(values) -> np.ndarray:
@@ -160,7 +170,7 @@ def mask_sign_matrix(t: np.ndarray, masks) -> np.ndarray:
     Row k is (-1)^parity(masks[k] & S(x)) over x = 0..255.
     """
     masks = np.asarray(masks, dtype=np.uint8)
-    bits = _PARITY[np.bitwise_and.outer(masks, np.asarray(t, dtype=np.uint8))]
+    bits = _PARITY[np.bitwise_and.outer(masks, t)]
     return 1 - 2 * bits.astype(np.int32)
 
 
@@ -284,12 +294,9 @@ def linear_probability(box, allow_non_bijective: bool = False) -> float:
 def difference_distribution(box) -> np.ndarray:
     """Full 256x256 DDT: counts[dc][dy] = #{x : S(x) XOR S(x XOR dc) = dy}.
 
-    Defined for any 256-entry table; bijectivity is not required.
+    Defined for any table of 256 bytes; bijectivity is not required.
     """
-    t = np.asarray(box)
-    if t.shape != (N,):
-        raise ValueError(f"S-box must have {N} entries, got shape {t.shape}")
-    return _ddt(t.astype(np.uint8))
+    return _ddt(_table(box))
 
 
 def differential_uniformity(box, allow_non_bijective: bool = False) -> DuResult:
@@ -304,33 +311,33 @@ def differential_uniformity(box, allow_non_bijective: bool = False) -> DuResult:
 
 def fixed_points(box) -> list:
     """All indices i with S(i) = i, ascending."""
-    t = np.asarray(box)
-    if t.shape != (N,):
-        raise ValueError(f"S-box must have {N} entries, got shape {t.shape}")
-    return [int(i) for i in np.nonzero(t == np.arange(N))[0]]
+    return [int(i) for i in np.nonzero(_table(box) == np.arange(N))[0]]
 
 
 @dataclass(eq=False)
 class MetricReport:
-    """Aggregated results of the full battery for one S-box."""
+    """Aggregated results of the full battery for one S-box.
 
+    Fields are declared in the order the JSON report lists them.
+    """
+
+    bijective: bool
+    nl_mode: NLMode
     nl_min: int
     nl_max: int
     nl_avg: float
     nl_per_coordinate: tuple
-    nl_mode: NLMode
-    sac_matrix: np.ndarray
     sac_avg: float
     sac_offset: float
-    bic_nl_matrix: np.ndarray
+    sac_matrix: np.ndarray
     bic_nl_avg: float
+    bic_nl_matrix: np.ndarray
     lp: float
     du: int
     dp: float
     du_grid: np.ndarray
     fixed_point_count: int
     fixed_points: tuple
-    bijective: bool
 
 
 def full_report(box, nl_mode: NLMode = NLMode.COORDINATE,

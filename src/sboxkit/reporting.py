@@ -8,10 +8,15 @@ parse back to the identical double.
 """
 
 import contextlib
+import csv
 import datetime
+import enum
+import io
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .corpus import PUBLISHED_FIELDS, published_values
@@ -33,26 +38,15 @@ def run_manifest(subcommand: str, parameters: dict) -> dict:
     }
 
 
+def _json_value(v):
+    if isinstance(v, enum.Enum):
+        return v.value
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
 def report_to_dict(report: MetricReport) -> dict:
-    return {
-        "bijective": report.bijective,
-        "nl_mode": report.nl_mode.value,
-        "nl_min": report.nl_min,
-        "nl_max": report.nl_max,
-        "nl_avg": report.nl_avg,
-        "nl_per_coordinate": [int(v) for v in report.nl_per_coordinate],
-        "sac_avg": report.sac_avg,
-        "sac_offset": report.sac_offset,
-        "sac_matrix": [[float(v) for v in row] for row in report.sac_matrix],
-        "bic_nl_avg": report.bic_nl_avg,
-        "bic_nl_matrix": [[int(v) for v in row] for row in report.bic_nl_matrix],
-        "lp": report.lp,
-        "du": report.du,
-        "dp": report.dp,
-        "du_grid": [[int(v) for v in row] for row in report.du_grid],
-        "fixed_point_count": report.fixed_point_count,
-        "fixed_points": [int(v) for v in report.fixed_points],
-    }
+    """The report's fields, in declaration order, as JSON-ready values."""
+    return {name: _json_value(v) for name, v in vars(report).items()}
 
 
 def report_json(report: MetricReport, manifest: dict) -> str:
@@ -158,22 +152,16 @@ def comparison_markdown(rows) -> str:
 
 
 def comparison_csv(rows) -> str:
-    lines = ["id," + ",".join(PUBLISHED_FIELDS) + ",published,error"]
+    """The comparison as CSV; a field holding a comma or a quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", *PUBLISHED_FIELDS, "published", "error"])
     for row in rows:
         values = _row_values(row)
-        cells = []
-        for name in PUBLISHED_FIELDS:
-            v = values.get(name)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, int):
-                cells.append(str(v))
-            else:
-                cells.append(format_real(v))
-        lines.append(",".join([row.id] + cells
-                              + ["yes" if row.published_only else "no",
-                                 row.error or ""]))
-    return "\n".join(lines) + "\n"
+        cells = [v if v is None or isinstance(v, int) else format_real(v)
+                 for v in map(values.get, PUBLISHED_FIELDS)]
+        writer.writerow([row.id, *cells, "yes" if row.published_only else "no", row.error])
+    return out.getvalue()
 
 
 def deltas_section(rows) -> list:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -246,9 +248,19 @@ def test_compare_error_rows_keep_their_ids(tmp_path, capsys):
     assert cli.main(["compare", "--csv", "mystery-box", str(bad), str(dup), "aes"]) == 0
     assert capsys.readouterr().out.splitlines()[1:4] == [
         "mystery-box" + "," * 9 + ",no,unknown corpus id or file: mystery-box",
-        "bad" + "," * 9 + ",no,invalid value 'zz' at row 1, column 3",
+        "bad" + "," * 9 + ",no,\"invalid value 'zz' at row 1, column 3\"",
         "dup" + "," * 9 + ",no,table is not a permutation of 0..255",
     ]
+
+
+def test_compare_csv_rows_parse_to_the_header_width(tmp_path, capsys):
+    # an error text holding a comma is quoted, not split into a 13th field
+    bad = tmp_path / "bad.txt"
+    bad.write_text("zz\n")
+    assert cli.main(["compare", "--csv", "nosuch", str(bad), "aes"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(row) for row in rows] == [12] * 4
+    assert rows[2] == ["bad"] + [""] * 9 + ["no", "invalid value 'zz' at row 1, column 1"]
 
 
 # ---------------------------------------------------------------------------

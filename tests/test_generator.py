@@ -169,6 +169,12 @@ def test_refine_config_takes_numpy_integer_budget():
     assert RefineConfig(budget=np.int64(64)).budget == 64
 
 
+@pytest.mark.parametrize("objective", ["sum", "min", None, 0])
+def test_refine_config_rejects_an_objective_that_is_not_an_objective(objective):
+    with pytest.raises(ParamOutOfRange, match="objective must be an Objective"):
+        RefineConfig(budget=512, objective=objective)
+
+
 def test_refine_budget_zero_is_identity():
     box = initial_sbox(0.7, 1.3, 55_555_555)
     out, stats = refine_sbox(box, 5, 7, 0.5, 0.5, RefineConfig(budget=0))

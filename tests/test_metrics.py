@@ -9,17 +9,20 @@ from sboxkit import (
     NLMode,
     NonBijectiveWarning,
     NotBijective,
+    as_sbox,
     bic_nl,
     component_bits,
     difference_distribution,
     differential_uniformity,
     fixed_points,
+    format_grid,
     full_report,
     get_entry,
     is_bijective,
     linear_probability,
     nonlinearity,
     sac_matrix,
+    save_sbox,
     sbox_nonlinearity,
     walsh_spectrum,
 )
@@ -287,10 +290,47 @@ def test_non_bijective_rejected_then_allowed():
     assert r.du >= 4  # raw-count metrics still computed
 
 
+# ---------------------------------------------------------------------------
+# The table contract: exactly 256 integers in 0..255, nothing coerced.  The
+# last two wrap to permutations if cast to uint8.
+
+BAD_TABLES = {
+    "255-entries": np.arange(255),
+    "float": np.arange(256) * 1.0,
+    "bool": np.arange(256) % 2 == 0,
+    "holds-256": np.arange(1, 257),
+    "holds-minus-1": np.arange(-1, 255),
+}
+TABLE_FUNCTIONS = {
+    "as_sbox": as_sbox,
+    "difference_distribution": difference_distribution,
+    "fixed_points": fixed_points,
+    "component_bits": lambda table: component_bits(table, 1),
+    "format_grid": format_grid,
+}
+
+
 def test_is_bijective():
     assert is_bijective(AES)
     assert not is_bijective(np.zeros(256, dtype=int))
     assert not is_bijective(np.arange(255))
+    for table in BAD_TABLES.values():
+        assert not is_bijective(table)
+
+
+@pytest.mark.parametrize("func", TABLE_FUNCTIONS.values(), ids=TABLE_FUNCTIONS)
+@pytest.mark.parametrize("table", BAD_TABLES.values(), ids=BAD_TABLES)
+def test_functions_taking_a_table_reject_anything_but_256_bytes(func, table):
+    with pytest.raises(NotBijective):
+        func(table)
+
+
+@pytest.mark.parametrize("table", BAD_TABLES.values(), ids=BAD_TABLES)
+def test_save_sbox_rejects_without_leaving_a_file(tmp_path, table):
+    path = tmp_path / "box.sbox"
+    with pytest.raises(NotBijective):
+        save_sbox(path, table)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

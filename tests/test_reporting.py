@@ -1,9 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
-from sboxkit import full_report, get_entry
+from sboxkit import NLMode, full_report, get_entry
 from sboxkit.corpus import published_values
-from sboxkit.reporting import format_real, markdown_row, write_param_csv
+from sboxkit.reporting import (
+    format_real,
+    markdown_row,
+    report_json,
+    run_manifest,
+    write_param_csv,
+)
+
+# The published JSON report layout, in order.
+REPORT_KEYS = [
+    "bijective", "nl_mode", "nl_min", "nl_max", "nl_avg", "nl_per_coordinate",
+    "sac_avg", "sac_offset", "sac_matrix", "bic_nl_avg", "bic_nl_matrix",
+    "lp", "du", "dp", "du_grid", "fixed_point_count", "fixed_points",
+]
 
 
 def test_param_csv_streams_runs(tmp_path, capsys):
@@ -39,3 +54,12 @@ def test_markdown_row_cells_are_the_published_columns():
     assert len(cells) == len(values)
     assert [float(c) for c in cells] == pytest.approx(
         [float(v) for v in values.values()], rel=1e-5, abs=5e-5)
+
+
+@pytest.mark.parametrize("mode", list(NLMode))
+def test_report_json_keys_are_the_published_layout(mode):
+    report = full_report(get_entry("paper-proposed").table, mode)
+    payload = json.loads(report_json(report, run_manifest("analyze", {})))
+    assert list(payload["report"]) == REPORT_KEYS
+    assert payload["report"]["nl_mode"] == mode.value
+    assert payload["report"]["du_grid"] == report.du_grid.tolist()
