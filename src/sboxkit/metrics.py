@@ -26,8 +26,9 @@ single product H[1:, S] @ H.  It runs in float32 and is exact: every term is
 float32's 24-bit significand, in whatever order or with whatever fused
 multiply-adds BLAS sums.  The DDT is one bincount over the cells
 (dc << 8) | (S(x) XOR S(x XOR dc)).  H and the x XOR dc index grid are built
-on first use and shared read-only; the generator's rank-one swap updates use
-the same H.
+on first use and shared read-only.  H is the one source of component signs:
+the generator's start spectrum and its rank-one swap updates use the same H,
+and so does `component_bits`.
 
 Coordinate ("per output bit") aggregation is the default nonlinearity
 presentation; the rigorous minimum over all 255 nonzero output masks is
@@ -42,13 +43,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonBijectiveWarning, NotBijective
+from .errors import NonBijectiveWarning, NotBijective, ParamOutOfRange
 
 N = 256
 COORD_MASKS = tuple(1 << k for k in range(8))
-
-# parity[v] = popcount(v) mod 2 for v in 0..255
-_PARITY = np.array([bin(v).count("1") & 1 for v in range(N)], dtype=np.uint8)
 
 
 class NLMode(enum.Enum):
@@ -96,6 +94,27 @@ def _table(box) -> np.ndarray:
     return t.astype(np.uint8)
 
 
+def _truth_table(f) -> np.ndarray:
+    """`f` as a uint8 array, if it holds exactly 256 bits (0/1 integers or bools).
+
+    The one truth-table check, as `_table` is for tables: anything else
+    raises ValueError rather than being coerced.
+    """
+    bits = np.asarray(f)
+    if bits.shape != (N,):
+        raise ValueError(f"truth table must have {N} entries, got shape {bits.shape}")
+    if bits.dtype != bool and not np.issubdtype(bits.dtype, np.integer):
+        raise ValueError("truth table entries must be integers or bools")
+    if bits.min() < 0 or bits.max() > 1:
+        raise ValueError("truth table entries must be 0 or 1")
+    return bits.astype(np.uint8)
+
+
+def _check_nl_mode(mode) -> None:
+    if not isinstance(mode, NLMode):
+        raise ParamOutOfRange(f"nl_mode must be an NLMode, got {mode!r}")
+
+
 def is_bijective(table) -> bool:
     try:
         return len(np.unique(_table(table))) == N
@@ -123,10 +142,12 @@ def as_sbox(table, allow_non_bijective: bool = False) -> np.ndarray:
 
 
 def component_bits(box, mask: int) -> np.ndarray:
-    """Truth table of one component function: bits[x] = parity(mask & S(x))."""
+    """Truth table of component `mask`: bits[x] = parity(mask & S(x)), i.e. H[mask, S(x)] < 0."""
+    if isinstance(mask, (bool, np.bool_)) or not isinstance(mask, (int, np.integer)):
+        raise ValueError(f"output mask must be an integer, got {mask!r}")
     if not 1 <= mask <= 255:
         raise ValueError(f"output mask must lie in [1, 255], got {mask}")
-    return _PARITY[_table(box) & np.uint8(mask)]
+    return (_hadamard()[mask, _table(box)] < 0).astype(np.uint8)
 
 
 def fwht(values) -> np.ndarray:
@@ -148,11 +169,7 @@ def fwht(values) -> np.ndarray:
 
 def walsh_spectrum(f) -> np.ndarray:
     """Exact integer spectrum W(a) = sum_x (-1)^(f(x) XOR a.x) of a truth table."""
-    bits = np.asarray(f)
-    if bits.shape != (N,):
-        raise ValueError(f"truth table must have {N} entries, got shape {bits.shape}")
-    signs = 1 - 2 * bits.astype(np.int32)
-    return fwht(signs)
+    return fwht(1 - 2 * _truth_table(f).astype(np.int32))
 
 
 def nonlinearity(f) -> int:
@@ -163,16 +180,6 @@ def nonlinearity(f) -> int:
 
 # ---------------------------------------------------------------------------
 # Internals shared by the aggregate report (operate on validated tables)
-
-def mask_sign_matrix(t: np.ndarray, masks) -> np.ndarray:
-    """+-1 sign tables of the component functions for the given output masks.
-
-    Row k is (-1)^parity(masks[k] & S(x)) over x = 0..255.
-    """
-    masks = np.asarray(masks, dtype=np.uint8)
-    bits = _PARITY[np.bitwise_and.outer(masks, t)]
-    return 1 - 2 * bits.astype(np.int32)
-
 
 @functools.cache
 def _hadamard() -> np.ndarray:
@@ -191,14 +198,14 @@ def _xor_table() -> np.ndarray:
     return table
 
 
-def _all_mask_spectra(t: np.ndarray) -> np.ndarray:
-    """Walsh spectra of every nonzero output mask; row m-1 is mask m.
+def _all_mask_spectra(t: np.ndarray, masks=slice(1, None)) -> np.ndarray:
+    """Walsh spectra of the output masks `masks`, by default every nonzero one (row m-1 is mask m).
 
     H[m, t] is the sign table of component m; the float32 product is exact
     (see the module docstring).
     """
     h = _hadamard()
-    return (h[1:, t] @ h).astype(np.int32)
+    return (h[masks][:, t] @ h).astype(np.int32)
 
 
 def _nl_from_spectra(spectra: np.ndarray) -> np.ndarray:
@@ -211,6 +218,7 @@ def _lp_from_nls(nls: np.ndarray) -> float:
 
 
 def _nl_summary(nls: np.ndarray, mode: NLMode) -> NLSummary:
+    _check_nl_mode(mode)
     coord = tuple(int(nls[m - 1]) for m in COORD_MASKS)
     pool = np.array(coord) if mode is NLMode.COORDINATE else nls
     return NLSummary(int(pool.min()), int(pool.max()), float(pool.mean()), coord)

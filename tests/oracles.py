@@ -3,10 +3,14 @@
 The metric oracles follow the definitions directly (enumeration and
 counting), with one exception: `spectra_reference` runs the butterfly fast
 Walsh transform over each component's sign table, a second route to the
-library's single Hadamard matrix product for all 255 output masks.  The
-spectra-derived metrics (nonlinearity in both modes, linear probability) are
-checked against it.  `lp_direct` is itself a matrix product, so it is not an
-independent route for linear probability.  `_index_step` is one step of a
+library's single Hadamard matrix product for all 255 output masks.  Those
+sign tables come from `mask_sign_matrix`, which reads component signs from
+this module's own `PARITY` table, never from the library's Hadamard matrix
+(the library's one sign source), so the two routes reach the signs
+independently.
+The spectra-derived metrics (nonlinearity in both modes, linear probability)
+are checked against it.  `lp_direct` is itself a matrix product, so it is not
+an independent route for linear probability.  `_index_step` is one step of a
 swap-schedule recurrence, with `round15` and the index rounding as separate
 calls, and `swap_schedule_reference` pairs the two recurrences; the
 library's fused schedule loop must give the same indices.
@@ -47,7 +51,7 @@ from sboxkit.maps import (
     renormalize,
     round15,
 )
-from sboxkit.metrics import as_sbox, fwht, mask_sign_matrix
+from sboxkit.metrics import as_sbox, fwht
 
 
 def parity(v: int) -> int:
@@ -59,6 +63,16 @@ PARITY = np.array([parity(v) for v in range(256)], dtype=np.uint8)
 # All 512 affine truth tables over 8 bits: parity(a & x) and its complement.
 _LINEAR = PARITY[np.bitwise_and.outer(np.arange(256), np.arange(256))]
 AFFINE = np.vstack([_LINEAR, 1 - _LINEAR]).astype(np.uint8)
+
+
+def mask_sign_matrix(t, masks) -> np.ndarray:
+    """+-1 sign tables of the component functions for the given output masks.
+
+    Row k is (-1)^parity(masks[k] & S(x)) over x = 0..255.
+    """
+    masks = np.asarray(masks, dtype=np.uint8)
+    bits = PARITY[np.bitwise_and.outer(masks, np.asarray(t, dtype=np.uint8))]
+    return 1 - 2 * bits.astype(np.int32)
 
 
 def walsh_direct(f) -> np.ndarray:
@@ -106,7 +120,7 @@ def bic_nl_direct(box) -> np.ndarray:
 
 def spectra_reference(box) -> np.ndarray:
     """Walsh spectra of every nonzero output mask by per-row FWHT; row m-1 is mask m."""
-    return fwht(mask_sign_matrix(np.asarray(box, dtype=np.uint8), np.arange(1, 256)))
+    return fwht(mask_sign_matrix(box, np.arange(1, 256)))
 
 
 def lp_direct(box) -> float:

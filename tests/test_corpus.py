@@ -4,6 +4,7 @@ import pytest
 from sboxkit import (
     CorpusEntry,
     NLMode,
+    ParamOutOfRange,
     builtin_corpus,
     compare,
     corpus_ids,
@@ -93,6 +94,12 @@ def test_compare_published_only_row_echoes():
 def test_compare_empty_errors():
     with pytest.raises(ValueError):
         compare([])
+
+
+def test_compare_rejects_a_mode_that_is_not_an_nlmode():
+    # raised up front, not turned into per-row errors
+    with pytest.raises(ParamOutOfRange):
+        compare([get_entry("aes")], "coord")
 
 
 def test_compare_keeps_going_past_bad_rows():

@@ -9,6 +9,7 @@ from sboxkit import (
     NLMode,
     NonBijectiveWarning,
     NotBijective,
+    ParamOutOfRange,
     as_sbox,
     bic_nl,
     component_bits,
@@ -103,13 +104,43 @@ def test_nonlinearity_affine_invariance():
         assert nonlinearity(f) == nonlinearity(f ^ ell)
 
 
+# The truth-table contract: exactly 256 bits, integers or bools, nothing coerced.
+BAD_TRUTH_TABLES = {
+    "holds-2": np.full(256, 2),
+    "float": np.full(256, 0.7),
+    "holds-minus-1": np.concatenate([np.zeros(255, dtype=int), [-1]]),
+    "255-entries": np.zeros(255, dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("func", [walsh_spectrum, nonlinearity])
+@pytest.mark.parametrize("f", BAD_TRUTH_TABLES.values(), ids=BAD_TRUTH_TABLES)
+def test_truth_table_functions_reject_anything_but_256_bits(func, f):
+    with pytest.raises(ValueError):
+        func(f)
+
+
+def test_truth_table_accepts_bools():
+    f = oracles.PARITY[np.arange(256) & 0x5B]
+    assert np.array_equal(walsh_spectrum(f.astype(bool)), walsh_spectrum(f))
+
+
 def test_component_bits():
     bits = component_bits(AES, 1)
     assert np.array_equal(bits, AES & 1)
     bits = component_bits(AES, 0b101)
     assert np.array_equal(bits, (AES & 1) ^ ((AES >> 2) & 1))
-    with pytest.raises(ValueError):
-        component_bits(AES, 0)
+    assert bits.dtype == np.uint8
+    assert np.array_equal(component_bits(AES, np.uint8(0b101)), bits)
+    # every mask against the oracles' own parity table, on a bijection and
+    # on an arbitrary table
+    arbitrary = np.random.default_rng(11).integers(0, 256, 256)
+    for table in (AES, arbitrary):
+        for mask in range(1, 256):
+            assert np.array_equal(component_bits(table, mask), oracles.PARITY[table & mask])
+    for mask in (0, 256, 3.5, True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError):
+            component_bits(AES, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +152,12 @@ def test_sbox_nonlinearity_aes_both_modes():
         assert (nl.minimum, nl.maximum) == (112, 112)
         assert nl.average == 112.0
     assert sbox_nonlinearity(AES).per_coordinate == tuple([112] * 8)
+
+
+@pytest.mark.parametrize("func", [sbox_nonlinearity, full_report])
+def test_nl_mode_must_be_an_nlmode(func):
+    with pytest.raises(ParamOutOfRange):
+        func(AES, "coord")
 
 
 def test_sbox_nonlinearity_identity():
