@@ -63,7 +63,6 @@ from .metrics import (
     differential_uniformity,
     fixed_points,
     full_report,
-    fwht,
     is_bijective,
     linear_probability,
     nonlinearity,

@@ -122,7 +122,17 @@ _CHUNK_CELLS = 1 << 16
 _LOCKSTEP_MIN_WIDTH = {MapKind.AHYB: 40, MapKind.LOGISTIC: 16, MapKind.SINE: 14}
 
 
+def _check_map(kind: MapKind, branch_mode: BranchMode) -> None:
+    """Raise ParamOutOfRange unless `kind` is a MapKind and `branch_mode` a BranchMode."""
+    if not isinstance(kind, MapKind):
+        raise ParamOutOfRange(f"map kind must be a MapKind, got {kind!r}")
+    if not isinstance(branch_mode, BranchMode):
+        raise ParamOutOfRange(f"branch mode must be a BranchMode, got {branch_mode!r}")
+
+
 def _in_range(kind: MapKind, control: float) -> bool:
+    if isinstance(control, (bool, np.bool_)):
+        return False
     lo, hi, hi_inclusive = PARAM_RANGES[kind]
     ok = control > lo and (control <= hi if hi_inclusive else control < hi)
     return math.isfinite(control) and ok
@@ -148,6 +158,7 @@ class MapParams:
     branch_mode: BranchMode = BranchMode.EQUATION1
 
     def __post_init__(self):
+        _check_map(self.kind, self.branch_mode)
         check_param(self.kind, self.control)
 
 
@@ -232,21 +243,17 @@ def _kernel(params: MapParams):
     AHYB, by ``renormalize`` and the reseed of a folded 0 to ``RESEED``;
     ``deriv(x)`` is ``map_derivative``.  Both perform the same float
     operations in the same order as those functions, and raise and warn as
-    they do, except that they do not test their argument: the caller checks
-    the starting state once, by calling on it the definition that its loop
-    calls first.  Every later state is finite, because ``step`` raises rather
-    than return a non-finite value, and a sine state is at most the
-    parameter in magnitude, so ``pi * x`` cannot overflow after the start.
+    they do: on a non-finite value they call the definition, which recomputes
+    it and raises its own message.  They do not test their argument: the
+    caller checks the starting state once, by calling on it the definition
+    that its loop calls first.  Every later state is finite, because
+    ``step`` raises rather than return a non-finite value, and a sine state
+    is at most the parameter in magnitude, so ``pi * x`` cannot overflow
+    after the start.
     The reseed warning names the caller of the function that runs the loop.
     """
     a = params.control
     isfinite = math.isfinite
-
-    def nonfinite_step(x):
-        raise NonFiniteState(f"map_step produced non-finite value from x={x!r}")
-
-    def nonfinite_deriv(x):
-        raise NonFiniteState(f"map_derivative produced non-finite value at x={x!r}")
 
     if params.kind is MapKind.AHYB:
         two_plus_a = 2.0 + a
@@ -263,7 +270,7 @@ def _kernel(params: MapParams):
             else:
                 y = x * (a - x)
             if not isfinite(y):
-                nonfinite_step(x)
+                map_step(params, x)  # recomputes y and raises
             # renormalize(y); round15 is odd, so |round15(y)| is floor(|y| * 1e15 + 0.5) / 1e15
             x = 4.0 * (floor(abs(y) * 1e15 + 0.5) / 1e15 % 1.0)
             if x == 0.0:
@@ -285,7 +292,7 @@ def _kernel(params: MapParams):
             else:
                 d = a - 2.0 * x
             if not isfinite(d):
-                nonfinite_deriv(x)
+                map_derivative(params, x)  # recomputes d and raises
             return d
 
     elif params.kind is MapKind.LOGISTIC:
@@ -293,13 +300,13 @@ def _kernel(params: MapParams):
         def step(x):
             y = a * x * (1.0 - x)
             if not isfinite(y):
-                nonfinite_step(x)
+                map_step(params, x)  # recomputes y and raises
             return y
 
         def deriv(x):
             d = a * (1.0 - 2.0 * x)
             if not isfinite(d):
-                nonfinite_deriv(x)
+                map_derivative(params, x)  # recomputes d and raises
             return d
 
     else:
@@ -308,13 +315,13 @@ def _kernel(params: MapParams):
         def step(x):
             y = a * sin(pi * x)
             if not isfinite(y):
-                nonfinite_step(x)
+                map_step(params, x)  # recomputes y and raises
             return y
 
         def deriv(x):
             d = a_pi * cos(pi * x)
             if not isfinite(d):
-                nonfinite_deriv(x)
+                map_derivative(params, x)  # recomputes d and raises
             return d
 
     return step, deriv
@@ -446,6 +453,7 @@ def bifurcation_scan(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    _check_map(kind, branch_mode)
     check_param(kind, param_lo)
     check_param(kind, param_hi)
     if param_lo > param_hi:
@@ -453,7 +461,7 @@ def bifurcation_scan(
             f"param_lo must not exceed param_hi, got {param_lo!r} > {param_hi!r}"
         )
     if transient < 0 or samples < 0:
-        raise ValueError("transient and n must be non-negative")
+        raise ValueError("transient and samples must be non-negative")
     values = np.linspace(param_lo, param_hi, steps)
     out = np.empty((steps * samples, 2), dtype=np.float64)
     out[:, 0] = np.repeat(values, samples)
@@ -553,6 +561,7 @@ def lyapunov_sweep(
     `values` returns an empty array.  A negative `transient` is rejected
     up front, whatever `values` holds.
     """
+    _check_map(kind, branch_mode)
     if transient < 0:
         raise ValueError("transient must be non-negative")
     values = np.asarray(values, dtype=np.float64)

@@ -25,9 +25,11 @@ single product H[1:, S] @ H.  It runs in float32 and is exact: every term is
 +-1 and every partial sum is an integer of magnitude at most 256, far inside
 float32's 24-bit significand, in whatever order or with whatever fused
 multiply-adds BLAS sums.  The DDT is one bincount over the cells
-(dc << 8) | (S(x) XOR S(x XOR dc)).  H and the x XOR dc index grid are built
-on first use and shared read-only.  H is the one source of component signs:
-the generator's start spectrum and its rank-one swap updates use the same H,
+(dc << 8) | (S(x) XOR S(x XOR dc)).  H is built from its definition by
+Sylvester doubling, and it and the x XOR dc index grid are built on first
+use and shared read-only.  H is the one source of component signs and the
+one Walsh route: `walsh_spectrum` is the sign row (-1)^f(x) times H, the
+generator's start spectrum and its rank-one swap updates use the same H,
 and so does `component_bits`.
 
 Coordinate ("per output bit") aggregation is the default nonlinearity
@@ -150,26 +152,10 @@ def component_bits(box, mask: int) -> np.ndarray:
     return (_hadamard()[mask, _table(box)] < 0).astype(np.uint8)
 
 
-def fwht(values) -> np.ndarray:
-    """Fast Walsh-Hadamard transform along the last axis (natural order)."""
-    out = np.ascontiguousarray(values, dtype=np.int32).copy()
-    n = out.shape[-1]
-    if n & (n - 1):
-        raise ValueError("transform length must be a power of two")
-    h = 1
-    while h < n:
-        shaped = out.reshape(-1, n // (2 * h), 2, h)
-        top = shaped[:, :, 0, :] + shaped[:, :, 1, :]
-        bot = shaped[:, :, 0, :] - shaped[:, :, 1, :]
-        shaped[:, :, 0, :] = top
-        shaped[:, :, 1, :] = bot
-        h *= 2
-    return out
-
-
 def walsh_spectrum(f) -> np.ndarray:
-    """Exact integer spectrum W(a) = sum_x (-1)^(f(x) XOR a.x) of a truth table."""
-    return fwht(1 - 2 * _truth_table(f).astype(np.int32))
+    """Exact integer spectrum W(a) = sum_x (-1)^(f(x) XOR a.x) of a truth table, as (-1)^f @ H."""
+    signs = 1 - 2 * _truth_table(f).astype(np.float32)
+    return (signs @ _hadamard()).astype(np.int32)
 
 
 def nonlinearity(f) -> int:
@@ -183,8 +169,14 @@ def nonlinearity(f) -> int:
 
 @functools.cache
 def _hadamard() -> np.ndarray:
-    """The 256x256 Hadamard matrix, H[i, a] = (-1)^(i.a), built on first use."""
-    h = fwht(np.eye(N, dtype=np.int32)).astype(np.float32)
+    """The 256x256 Hadamard matrix, H[i, a] = (-1)^(i.a), built on first use.
+
+    Sylvester's doubling H <- [[H, H], [H, -H]] from [[1]]: the top bit of
+    i and a flips the sign exactly when both are set.
+    """
+    h = np.ones((1, 1), dtype=np.float32)
+    while len(h) < N:
+        h = np.block([[h, h], [h, -h]])
     h.flags.writeable = False  # one shared instance
     return h
 
@@ -225,22 +217,17 @@ def _nl_summary(nls: np.ndarray, mode: NLMode) -> NLSummary:
 
 
 def _sac(t: np.ndarray) -> SacResult:
-    x = np.arange(N)
-    m = np.empty((8, 8), dtype=np.float64)
-    for i in range(8):
-        d = t[x] ^ t[x ^ (1 << i)]
-        for j in range(8):
-            m[i, j] = np.count_nonzero(d & (1 << j)) / N
+    bits = np.arange(8)
+    d = t ^ t[np.arange(N) ^ (1 << bits)[:, None]]  # d[i, x] = S(x) XOR S(x XOR 2^i)
+    m = ((d[:, None, :] >> bits[:, None]) & 1).sum(axis=2) / N
     avg = float(m.mean())
     return SacResult(m, avg, abs(avg - 0.5))
 
 
 def _bic_nl_matrix(nls: np.ndarray) -> BicNlResult:
-    m = np.zeros((8, 8), dtype=np.int64)
-    for i in range(8):
-        for j in range(i + 1, 8):
-            v = int(nls[((1 << i) | (1 << j)) - 1])
-            m[i, j] = m[j, i] = v
+    masks = np.array(COORD_MASKS)
+    m = nls[(masks[:, None] | masks) - 1].astype(np.int64)
+    np.fill_diagonal(m, 0)
     return BicNlResult(m, float(m.sum() / 56))
 
 

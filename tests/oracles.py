@@ -1,13 +1,15 @@
 """Reference implementations used to cross-check the fast paths.
 
 The metric oracles follow the definitions directly (enumeration and
-counting), with one exception: `spectra_reference` runs the butterfly fast
-Walsh transform over each component's sign table, a second route to the
-library's single Hadamard matrix product for all 255 output masks.  Those
-sign tables come from `mask_sign_matrix`, which reads component signs from
-this module's own `PARITY` table, never from the library's Hadamard matrix
-(the library's one sign source), so the two routes reach the signs
-independently.
+counting), with one exception: `spectra_reference` runs this module's
+butterfly fast Walsh transform, `fwht`, over each component's sign table, a
+second route to the library's single Hadamard matrix product for all 255
+output masks.  Those sign tables come from `mask_sign_matrix`, which reads
+component signs from this module's own `PARITY` table, never from the
+library's Hadamard matrix (the library's one sign source and one Walsh
+route), so the two routes share no code: the library has no butterfly, and
+its H is built from the definition by Sylvester doubling.  `fwht` of the
+identity matrix must give H's bytes.
 The spectra-derived metrics (nonlinearity in both modes, linear probability)
 are checked against it.  `lp_direct` is itself a matrix product, so it is not
 an independent route for linear probability.  `_index_step` is one step of a
@@ -51,7 +53,7 @@ from sboxkit.maps import (
     renormalize,
     round15,
 )
-from sboxkit.metrics import as_sbox, fwht
+from sboxkit.metrics import as_sbox
 
 
 def parity(v: int) -> int:
@@ -63,6 +65,23 @@ PARITY = np.array([parity(v) for v in range(256)], dtype=np.uint8)
 # All 512 affine truth tables over 8 bits: parity(a & x) and its complement.
 _LINEAR = PARITY[np.bitwise_and.outer(np.arange(256), np.arange(256))]
 AFFINE = np.vstack([_LINEAR, 1 - _LINEAR]).astype(np.uint8)
+
+
+def fwht(values) -> np.ndarray:
+    """Butterfly fast Walsh-Hadamard transform along the last axis (natural order)."""
+    out = np.ascontiguousarray(values, dtype=np.int32).copy()
+    n = out.shape[-1]
+    if n & (n - 1):
+        raise ValueError("transform length must be a power of two")
+    h = 1
+    while h < n:
+        shaped = out.reshape(-1, n // (2 * h), 2, h)
+        top = shaped[:, :, 0, :] + shaped[:, :, 1, :]
+        bot = shaped[:, :, 0, :] - shaped[:, :, 1, :]
+        shaped[:, :, 0, :] = top
+        shaped[:, :, 1, :] = bot
+        h *= 2
+    return out
 
 
 def mask_sign_matrix(t, masks) -> np.ndarray:

@@ -376,9 +376,9 @@ def test_overflowing_sine_start_is_an_input_error(args):
     (["lyapunov", "--param-lo", "3", "--param-hi", "4", "--steps", "3", "--transient", "-5"],
      "transient must be non-negative"),
     (["bifurcate", "--param-lo", "3", "--param-hi", "4", "--samples", "-2"],
-     "transient and n must be non-negative"),
+     "transient and samples must be non-negative"),
     (["bifurcate", "--param-lo", "3", "--param-hi", "4", "--transient", "-1"],
-     "transient and n must be non-negative"),
+     "transient and samples must be non-negative"),
 ], ids=["lyapunov-param", "lyapunov-sweep", "bifurcate-samples", "bifurcate-transient"])
 def test_negative_counts_are_input_errors(args, message):
     res = run_cli(*args, "--map", "logistic")

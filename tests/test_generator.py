@@ -337,6 +337,12 @@ def test_refine_validates_ranges():
         refine_sbox(box, 5, 7, 1.5, 0.5)
 
 
+def test_generate_rejects_a_branch_mode_string():
+    key = KeySpec(x0=0.7, a=1.3, b=55_555_555, c=5, d=7, e=0.5, f=0.5)
+    with pytest.raises(ParamOutOfRange, match="branch mode must be a BranchMode"):
+        generate(key, RefineConfig(budget=0), "alg1")
+
+
 def test_index_recurrences_stay_finite():
     # guard property: states and indices stay finite/in-range under both
     # recurrences across many seeds

@@ -369,8 +369,42 @@ def test_lyapunov_rejects_negative_transient():
 @pytest.mark.parametrize("steps", [2, WIDE])
 @pytest.mark.parametrize("transient, samples", [(-1, 5), (10, -2), (-1, -2)])
 def test_bifurcation_rejects_negative_transient_or_samples(steps, transient, samples):
-    with pytest.raises(ValueError, match="^transient and n must be non-negative$"):
+    with pytest.raises(ValueError, match="^transient and samples must be non-negative$"):
         bifurcation_scan(MapKind.LOGISTIC, 3.0, 3.5, steps, 0.3, transient, samples)
+
+
+# A map kind or branch mode given by its string value is rejected, not run as
+# EQUATION1 or failed with a bare KeyError.
+BAD_MAPS = {
+    "kind-string": ("ahyb", BranchMode.EQUATION1, "map kind must be a MapKind"),
+    "mode-string": (MapKind.AHYB, "alg1", "branch mode must be a BranchMode"),
+}
+
+
+@pytest.mark.parametrize("kind, mode, message", BAD_MAPS.values(), ids=BAD_MAPS)
+def test_map_params_reject_non_enum_kind_or_mode(kind, mode, message):
+    with pytest.raises(ParamOutOfRange, match=message):
+        MapParams(kind, 1.0, mode)
+
+
+@pytest.mark.parametrize("steps", [2, WIDE])
+@pytest.mark.parametrize("kind, mode, message", BAD_MAPS.values(), ids=BAD_MAPS)
+def test_bifurcation_rejects_non_enum_kind_or_mode(kind, mode, message, steps):
+    with pytest.raises(ParamOutOfRange, match=message):
+        bifurcation_scan(kind, 0.5, 1.0, steps, 0.3, 10, 5, branch_mode=mode)
+
+
+@pytest.mark.parametrize("width", [0, 2, WIDE])
+@pytest.mark.parametrize("kind, mode, message", BAD_MAPS.values(), ids=BAD_MAPS)
+def test_lyapunov_sweep_rejects_non_enum_kind_or_mode(kind, mode, message, width):
+    with pytest.raises(ParamOutOfRange, match=message):
+        lyapunov_sweep(kind, np.linspace(0.5, 1.0, width), 0.3, 10, 100, branch_mode=mode)
+
+
+@pytest.mark.parametrize("control", [True, np.True_], ids=["bool", "numpy-bool"])
+def test_bool_control_is_out_of_range(control):
+    with pytest.raises(ParamOutOfRange, match=r"got (np\.)?True_?$"):
+        MapParams(MapKind.AHYB, control)
 
 
 @pytest.mark.parametrize("width", [2, WIDE], ids=["narrow", "wide"])

@@ -440,3 +440,10 @@ def test_generator_and_metrics_share_one_hadamard():
     parity = oracles.PARITY[np.bitwise_and.outer(np.arange(256), np.arange(256))]
     signs = 1 - 2 * parity.astype(np.int32)
     assert np.array_equal(h, signs)
+
+
+def test_hadamard_bytes_match_oracle_butterfly():
+    h = metrics._hadamard()
+    assert h.dtype == np.float32
+    assert h.tobytes() == oracles.fwht(np.eye(256)).astype(np.float32).tobytes()
+
