@@ -148,16 +148,16 @@ def _cmd_bifurcate(args) -> int:
 def _cmd_lyapunov(args) -> int:
     kind = MapKind(args.map)
     branch_mode = BranchMode(args.branch_mode)
-    sweep = args.param_lo is not None or args.param_hi is not None
-    if sweep == (args.param is not None):
+    sweep = args.param is None
+    if (args.param_lo is None, args.param_hi is None) != (not sweep, not sweep):
         raise ParamOutOfRange("pass either --param or both --param-lo/--param-hi")
     if not sweep:
+        if args.out is not None:
+            raise ParamOutOfRange("--out writes sweeps only; pass --param-lo/--param-hi")
         value = lyapunov(MapParams(kind, args.param, branch_mode),
                          args.x0, args.transient, args.n)
         print(format_real(value))
         return 0
-    if args.param_lo is None or args.param_hi is None:
-        raise ParamOutOfRange("sweep needs both --param-lo and --param-hi")
     # One `lyapunov` call per value rather than `maps.lyapunov_sweep`: the
     # benchmark's traced mode (perfbench/spans.py) times Lyapunov work by
     # wrapping `cli.lyapunov`.  See ROADMAP item 1.
@@ -204,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="run the metric battery on a grid file")
     a.add_argument("path", help="S-box grid file")
-    a.add_argument("--json", action="store_true", help="emit a JSON report")
-    a.add_argument("--md", action="store_true", help="emit a markdown row")
+    out = a.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true", help="emit a JSON report")
+    out.add_argument("--md", action="store_true", help="emit a markdown row")
     a.add_argument("--allow-non-bijective", action="store_true",
                    help="measure non-permutations instead of failing")
     _add_common(a)
@@ -257,8 +258,7 @@ def main(argv=None) -> int:
     except GenerationStall as exc:
         print(f"sboxkit: error: {exc}", file=sys.stderr)
         return 3
-    except (SBoxKitError, ValueError, ArithmeticError, OSError,
-            json.JSONDecodeError) as exc:
+    except (SBoxKitError, ValueError, ArithmeticError, OSError) as exc:
         print(f"sboxkit: error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,8 @@ from importlib import resources
 import numpy as np
 
 from .boxfile import BoxFormat, load_sbox
-from .metrics import MetricReport, NLMode, _check_nl_mode, full_report
+from .errors import check_member
+from .metrics import MetricReport, NLMode, full_report
 
 # Metric columns a published row may carry, in presentation order, each
 # with the MetricReport attribute that computes it.
@@ -164,7 +165,7 @@ def compare(entries, nl_mode: NLMode = NLMode.COORDINATE) -> list:
     entries echo their stored row.  A row that fails to compute carries its
     error message instead of aborting the comparison.
     """
-    _check_nl_mode(nl_mode)
+    check_member("nl_mode", nl_mode, NLMode)
     entries = list(entries)
     if not entries:
         raise ValueError("nothing to compare: entry list is empty")

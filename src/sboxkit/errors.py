@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit, and the one argument check.
+
+`check_number` and `check_member` own the rule for every number and enum
+argument (map controls, key fields, start states, counts, masks, modes).
+"""
+
+import numbers
 
 
 class SBoxKitError(Exception):
@@ -6,7 +12,31 @@ class SBoxKitError(Exception):
 
 
 class ParamOutOfRange(SBoxKitError, ValueError):
-    """A map control parameter or key field lies outside its declared range."""
+    """An argument is not a number or enum member of the right kind, or lies outside its range."""
+
+
+def check_number(name: str, value, lo=None, hi=None, integer=False, hi_closed=False):
+    """`value` if it is a real (or, if `integer`, an integral) number in (lo, hi), else raise.
+
+    (lo, hi] if `hi_closed`; with no bounds only the type is checked.  A bool or
+    numpy bool is not a number, and NaN lies in no interval.
+    """
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        kind = "an integer" if integer else "a number"
+        raise ParamOutOfRange(f"{name} must be {kind}, got {value!r}")
+    if lo is not None and not (lo < value and (value <= hi if hi_closed else value < hi)):
+        bracket = "]" if hi_closed else ")"
+        raise ParamOutOfRange(f"{name} must lie in ({lo:g}, {hi:g}{bracket}, got {value!r}")
+    return value
+
+
+def check_member(name: str, value, enum):
+    """`value`, if it is a member of `enum`; its string value is not."""
+    if not isinstance(value, enum):
+        article = "an" if enum.__name__[0] in "AEIOU" else "a"
+        raise ParamOutOfRange(f"{name} must be {article} {enum.__name__}, got {value!r}")
+    return value
 
 
 class NonFiniteState(SBoxKitError, ArithmeticError):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationStall, ParamOutOfRange
+from .errors import GenerationStall, ParamOutOfRange, check_member, check_number
 from .maps import BranchMode, MapKind, MapParams, _kernel
 from .metrics import COORD_MASKS, _all_mask_spectra, _hadamard, _nl_from_spectra, as_sbox
 
@@ -80,15 +80,7 @@ _STALL_LIMIT = 10**6
 
 
 def _check_key_field(name: str, value) -> None:
-    lo, hi, integer = KEY_RANGES[name]
-    if isinstance(value, (bool, np.bool_)):
-        raise ParamOutOfRange(f"key field {name} must be a number, got {value!r}")
-    if integer and not isinstance(value, (int, np.integer)):
-        raise ParamOutOfRange(f"key field {name} must be an integer, got {value!r}")
-    if not (lo < value < hi):
-        raise ParamOutOfRange(
-            f"key field {name} must lie in ({lo:g}, {hi:g}), got {value!r}"
-        )
+    check_number(f"key field {name}", value, *KEY_RANGES[name])
 
 
 def _key_field_value(name: str, raw):
@@ -161,12 +153,9 @@ class RefineConfig:
     objective: Objective = Objective.SUM_COORDINATE_NL
 
     def __post_init__(self):
-        if isinstance(self.budget, bool) or not isinstance(self.budget, (int, np.integer)):
-            raise ParamOutOfRange(f"budget must be an integer, got {self.budget!r}")
-        if self.budget < 0:
+        if check_number("budget", self.budget, integer=True) < 0:
             raise ParamOutOfRange(f"budget must be >= 0, got {self.budget}")
-        if not isinstance(self.objective, Objective):
-            raise ParamOutOfRange(f"objective must be an Objective, got {self.objective!r}")
+        check_member("objective", self.objective, Objective)
 
 
 @dataclass(frozen=True)
@@ -322,15 +311,9 @@ def keyspace_report() -> dict:
     carries both and their ratio.
     """
     bits = keyspace_bits()
-    mantissa = 1.0
-    exponent = 0
-    for v in KEYSPACE_COUNTS.values():
-        e = int(math.floor(math.log10(v)))
-        mantissa *= v / 10.0**e
-        exponent += e
-    while mantissa >= 10.0:
-        mantissa /= 10.0
-        exponent += 1
+    product = math.prod(int(v) for v in KEYSPACE_COUNTS.values())
+    exponent = len(str(product)) - 1
+    mantissa = product / 10**exponent
     return {
         "counts": dict(KEYSPACE_COUNTS),
         "product_mantissa": mantissa,

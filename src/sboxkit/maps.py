@@ -73,6 +73,8 @@ from .errors import (
     DerivativeZero,
     NonFiniteState,
     ParamOutOfRange,
+    check_member,
+    check_number,
 )
 
 # Reseed value for a folded state that lands exactly on 0 (absorbing point of
@@ -122,31 +124,10 @@ _CHUNK_CELLS = 1 << 16
 _LOCKSTEP_MIN_WIDTH = {MapKind.AHYB: 40, MapKind.LOGISTIC: 16, MapKind.SINE: 14}
 
 
-def _check_map(kind: MapKind, branch_mode: BranchMode) -> None:
-    """Raise ParamOutOfRange unless `kind` is a MapKind and `branch_mode` a BranchMode."""
-    if not isinstance(kind, MapKind):
-        raise ParamOutOfRange(f"map kind must be a MapKind, got {kind!r}")
-    if not isinstance(branch_mode, BranchMode):
-        raise ParamOutOfRange(f"branch mode must be a BranchMode, got {branch_mode!r}")
-
-
-def _in_range(kind: MapKind, control: float) -> bool:
-    if isinstance(control, (bool, np.bool_)):
-        return False
-    lo, hi, hi_inclusive = PARAM_RANGES[kind]
-    ok = control > lo and (control <= hi if hi_inclusive else control < hi)
-    return math.isfinite(control) and ok
-
-
 def check_param(kind: MapKind, control: float) -> None:
-    """Raise ParamOutOfRange unless `control` is in the declared range."""
-    if not _in_range(kind, control):
-        lo, hi, hi_inclusive = PARAM_RANGES[kind]
-        bracket = "]" if hi_inclusive else ")"
-        raise ParamOutOfRange(
-            f"{kind.value} control parameter must lie in ({lo:g}, {hi:g}{bracket}, "
-            f"got {control!r}"
-        )
+    """Raise ParamOutOfRange unless `kind` is a MapKind and `control` a number in its range."""
+    lo, hi, hi_closed = PARAM_RANGES[check_member("map kind", kind, MapKind)]
+    check_number(f"{kind.value} control parameter", control, lo, hi, hi_closed=hi_closed)
 
 
 @dataclass(frozen=True)
@@ -158,8 +139,8 @@ class MapParams:
     branch_mode: BranchMode = BranchMode.EQUATION1
 
     def __post_init__(self):
-        _check_map(self.kind, self.branch_mode)
         check_param(self.kind, self.control)
+        check_member("branch mode", self.branch_mode, BranchMode)
 
 
 def round15(x: float) -> float:
@@ -334,7 +315,9 @@ def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> 
     state after transient + i + 1 steps).  AHYB states are post-fold and lie
     in [0, 4); reference-map states are raw.
     """
-    if transient < 0 or n < 0:
+    check_number("x0", x0)
+    if (check_number("transient", transient, integer=True) < 0
+            or check_number("n", n, integer=True) < 0):
         raise ValueError("transient and n must be non-negative")
     step, _ = _kernel(params)
     x = float(x0)
@@ -451,16 +434,18 @@ def bifurcation_scan(
     `iterate` called once per parameter; wide scans step every orbit in
     lockstep.
     """
-    if steps < 1:
+    if check_number("steps", steps, integer=True) < 1:
         raise ValueError("steps must be >= 1")
-    _check_map(kind, branch_mode)
     check_param(kind, param_lo)
     check_param(kind, param_hi)
+    check_member("branch mode", branch_mode, BranchMode)
     if param_lo > param_hi:
         raise ParamOutOfRange(
             f"param_lo must not exceed param_hi, got {param_lo!r} > {param_hi!r}"
         )
-    if transient < 0 or samples < 0:
+    check_number("x0", x0)
+    if (check_number("transient", transient, integer=True) < 0
+            or check_number("samples", samples, integer=True) < 0):
         raise ValueError("transient and samples must be non-negative")
     values = np.linspace(param_lo, param_hi, steps)
     out = np.empty((steps * samples, 2), dtype=np.float64)
@@ -486,9 +471,10 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
     attached, and DerivativeZero is raised if more than 1% of samples were
     skipped.
     """
-    if n < 1:
+    check_number("x0", x0)
+    if check_number("n", n, integer=True) < 1:
         raise ValueError("n must be >= 1")
-    if transient < 0:
+    if check_number("transient", transient, integer=True) < 0:
         raise ValueError("transient must be non-negative")
     step, deriv = _kernel(params)
     x = float(x0)
@@ -556,17 +542,25 @@ def lyapunov_sweep(
 ) -> np.ndarray:
     """`lyapunov` at each control value in `values`, one estimate per value.
 
-    Estimates, warnings and errors equal those of calling `lyapunov` once
-    per value, in order; wide sweeps step every orbit in lockstep.  An empty
-    `values` returns an empty array.  A negative `transient` is rejected
-    up front, whatever `values` holds.
+    `values` is a 1-D sequence of integers or floats, checked up front as
+    are the other arguments and a negative `transient`.  Estimates, warnings
+    and errors equal those of calling `lyapunov` once per value, in order
+    (a NaN or out-of-range value raises there); wide sweeps step every
+    orbit in lockstep.  An empty `values` returns an empty array.
     """
-    _check_map(kind, branch_mode)
-    if transient < 0:
+    lo, hi, hi_closed = PARAM_RANGES[check_member("map kind", kind, MapKind)]
+    check_member("branch mode", branch_mode, BranchMode)
+    check_number("x0", x0)
+    check_number("n", n, integer=True)
+    if check_number("transient", transient, integer=True) < 0:
         raise ValueError("transient must be non-negative")
-    values = np.asarray(values, dtype=np.float64)
+    values = np.asarray(values)
+    if values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise ParamOutOfRange(
+            f"values must be a 1-D array of numbers, got {values.dtype} of shape {values.shape}")
+    values = values.astype(np.float64)
     if (len(values) >= _LOCKSTEP_MIN_WIDTH[kind] and n >= 1
-            and all(_in_range(kind, v) for v in values.tolist())):
+            and ((values > lo) & ((values <= hi) if hi_closed else (values < hi))).all()):
         estimates = _lyapunov_lockstep(kind, values, x0, transient, n, branch_mode)
         if estimates is not None:
             return estimates

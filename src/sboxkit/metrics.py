@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonBijectiveWarning, NotBijective, ParamOutOfRange
+from .errors import NonBijectiveWarning, NotBijective, check_member, check_number
 
 N = 256
 COORD_MASKS = tuple(1 << k for k in range(8))
@@ -105,16 +105,11 @@ def _truth_table(f) -> np.ndarray:
     bits = np.asarray(f)
     if bits.shape != (N,):
         raise ValueError(f"truth table must have {N} entries, got shape {bits.shape}")
-    if bits.dtype != bool and not np.issubdtype(bits.dtype, np.integer):
+    if bits.dtype.kind not in "biu":
         raise ValueError("truth table entries must be integers or bools")
     if bits.min() < 0 or bits.max() > 1:
         raise ValueError("truth table entries must be 0 or 1")
     return bits.astype(np.uint8)
-
-
-def _check_nl_mode(mode) -> None:
-    if not isinstance(mode, NLMode):
-        raise ParamOutOfRange(f"nl_mode must be an NLMode, got {mode!r}")
 
 
 def is_bijective(table) -> bool:
@@ -145,10 +140,7 @@ def as_sbox(table, allow_non_bijective: bool = False) -> np.ndarray:
 
 def component_bits(box, mask: int) -> np.ndarray:
     """Truth table of component `mask`: bits[x] = parity(mask & S(x)), i.e. H[mask, S(x)] < 0."""
-    if isinstance(mask, (bool, np.bool_)) or not isinstance(mask, (int, np.integer)):
-        raise ValueError(f"output mask must be an integer, got {mask!r}")
-    if not 1 <= mask <= 255:
-        raise ValueError(f"output mask must lie in [1, 255], got {mask}")
+    check_number("output mask", mask, 0, 255, integer=True, hi_closed=True)
     return (_hadamard()[mask, _table(box)] < 0).astype(np.uint8)
 
 
@@ -210,7 +202,7 @@ def _lp_from_nls(nls: np.ndarray) -> float:
 
 
 def _nl_summary(nls: np.ndarray, mode: NLMode) -> NLSummary:
-    _check_nl_mode(mode)
+    check_member("nl_mode", mode, NLMode)
     coord = tuple(int(nls[m - 1]) for m in COORD_MASKS)
     pool = np.array(coord) if mode is NLMode.COORDINATE else nls
     return NLSummary(int(pool.min()), int(pool.max()), float(pool.mean()), coord)

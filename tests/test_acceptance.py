@@ -229,7 +229,6 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     out = tmp_path / "box.sbox"
     rep = tmp_path / "box.json"
     bif = tmp_path / "bif.csv"
-    le = tmp_path / "le.csv"
 
     runs = {
         "generate": lambda: _run_cli("generate", *key_flags, "--budget", "64",
@@ -241,8 +240,7 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
                                       "--steps", "20", "--transient", "200",
                                       "--samples", "20", "--out", bif, cwd=tmp_path),
         "lyapunov": lambda: _run_cli("lyapunov", "--map", "ahyb", "--param", "1.5",
-                                     "--n", "5000", "--transient", "200",
-                                     "--out", le, cwd=tmp_path),
+                                     "--n", "5000", "--transient", "200", cwd=tmp_path),
     }
 
     def snapshot(name, res):

@@ -392,6 +392,25 @@ def test_lyapunov_needs_param_or_sweep():
     assert res.returncode == 1
 
 
+def test_lyapunov_out_needs_a_sweep(tmp_path):
+    # --out is the sweep's CSV path; a single value is printed, so --out with
+    # --param is a usage error rather than a flag that writes nothing
+    out = tmp_path / "le.csv"
+    res = run_cli("lyapunov", "--map", "logistic", "--param", "3.9", "--n", "100",
+                  "--out", out)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("sboxkit: error: --out")
+    assert not out.exists()
+
+
+def test_analyze_json_and_md_are_exclusive(aes_grid):
+    res = run_cli("analyze", aes_grid, "--json", "--md")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "not allowed with argument --json" in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # generate -> analyze round trip
 
