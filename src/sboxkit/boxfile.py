@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, check_member
 from .metrics import _table, as_sbox
 
 
@@ -31,6 +31,7 @@ class BoxFormat(enum.Enum):
 
 def format_grid(box, fmt: BoxFormat = BoxFormat.DECIMAL_GRID) -> str:
     """Render a table of 256 bytes in the requested format (canonical bytes)."""
+    check_member("format", fmt, BoxFormat)
     values = _table(box).tolist()
     if fmt is BoxFormat.JSON:
         return json.dumps(values) + "\n"
@@ -73,6 +74,7 @@ def _parse_tokens(text: str, base: int) -> np.ndarray:
 
 def parse_grid(text: str, fmt: BoxFormat = BoxFormat.DECIMAL_GRID) -> np.ndarray:
     """Parse grid text into a raw table (no bijectivity check)."""
+    check_member("format", fmt, BoxFormat)
     if fmt is BoxFormat.JSON:
         try:
             data = json.loads(text)

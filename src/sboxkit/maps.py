@@ -542,10 +542,10 @@ def lyapunov_sweep(
 ) -> np.ndarray:
     """`lyapunov` at each control value in `values`, one estimate per value.
 
-    `values` is a 1-D sequence of integers or floats, checked up front as
-    are the other arguments and a negative `transient`.  Estimates, warnings
-    and errors equal those of calling `lyapunov` once per value, in order
-    (a NaN or out-of-range value raises there); wide sweeps step every
+    `values` is a 1-D sequence of integers or floats, not bools, checked up
+    front as are the other arguments and a negative `transient`.  Estimates,
+    warnings and errors equal those of calling `lyapunov` once per value, in
+    order (a NaN or out-of-range value raises there); wide sweeps step every
     orbit in lockstep.  An empty `values` returns an empty array.
     """
     lo, hi, hi_closed = PARAM_RANGES[check_member("map kind", kind, MapKind)]
@@ -554,11 +554,13 @@ def lyapunov_sweep(
     check_number("n", n, integer=True)
     if check_number("transient", transient, integer=True) < 0:
         raise ValueError("transient must be non-negative")
-    values = np.asarray(values)
-    if values.ndim != 1 or values.dtype.kind not in "iuf":
+    array = np.asarray(values)
+    if array.ndim != 1 or array.dtype.kind not in "iuf":
         raise ParamOutOfRange(
-            f"values must be a 1-D array of numbers, got {values.dtype} of shape {values.shape}")
-    values = values.astype(np.float64)
+            f"values must be a 1-D array of numbers, got {array.dtype} of shape {array.shape}")
+    for value in values:  # a list mixing bools and numbers converts to float64
+        check_number("sweep value", value)
+    values = array.astype(np.float64)
     if (len(values) >= _LOCKSTEP_MIN_WIDTH[kind] and n >= 1
             and ((values > lo) & ((values <= hi) if hi_closed else (values < hi))).all()):
         estimates = _lyapunov_lockstep(kind, values, x0, transient, n, branch_mode)

@@ -137,9 +137,12 @@ def bic_nl_direct(box) -> np.ndarray:
     return m
 
 
-def spectra_reference(box) -> np.ndarray:
-    """Walsh spectra of every nonzero output mask by per-row FWHT; row m-1 is mask m."""
-    return fwht(mask_sign_matrix(box, np.arange(1, 256)))
+def spectra_reference(box, masks=np.arange(1, 256)) -> np.ndarray:
+    """Walsh spectra of the output masks by per-row FWHT; by default row m-1 is mask m.
+
+    `box` may be a stack of tables: row k then holds mask k's spectrum of each.
+    """
+    return fwht(mask_sign_matrix(box, masks))
 
 
 def lp_direct(box) -> float:

@@ -9,6 +9,7 @@ from sboxkit import (
     BoxFormat,
     NonBijectiveWarning,
     NotBijective,
+    ParamOutOfRange,
     ParseError,
     format_grid,
     load_sbox,
@@ -167,3 +168,16 @@ def test_save_is_deterministic(tmp_path):
     save_sbox(p1, BOX)
     save_sbox(p2, BOX)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["hex", "dec", "json", None])
+def test_format_must_be_a_box_format(tmp_path, fmt):
+    # a string is not its BoxFormat: it once fell through to the decimal grid
+    with pytest.raises(ParamOutOfRange, match="format must be a BoxFormat"):
+        format_grid(BOX, fmt)
+    with pytest.raises(ParamOutOfRange, match="format must be a BoxFormat"):
+        parse_grid(format_grid(BOX, BoxFormat.HEX_GRID), fmt)
+    path = tmp_path / "box.sbox"
+    with pytest.raises(ParamOutOfRange, match="format must be a BoxFormat"):
+        save_sbox(path, BOX, fmt)
+    assert not path.exists()

@@ -26,6 +26,7 @@ from sboxkit import (
     refine_sbox,
     sbox_nonlinearity,
 )
+import sboxkit.generator as gen
 from sboxkit.generator import _BLOCK, _swap_schedule
 from sboxkit.metrics import COORD_MASKS
 
@@ -143,7 +144,6 @@ def test_initial_sbox_rejects_non_integer_b(b):
 
 
 def test_initial_sbox_stalls_on_degenerate_orbit(monkeypatch):
-    import sboxkit.generator as gen
     from sboxkit import GenerationStall
 
     # a constant orbit keeps producing the same byte; after the first
@@ -251,10 +251,7 @@ def _refine_case(objective: Objective):
     return st.tuples(st.just(objective), budgets)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       case=st.sampled_from(list(Objective)).flatmap(_refine_case))
-def test_refine_matches_sequential_reference(seed, case):
+def _assert_matches_reference(seed, case):
     objective, budget = case
     key = random_key(random.Random(seed))
     box = initial_sbox(key.x0, key.a, key.b)
@@ -263,6 +260,63 @@ def test_refine_matches_sequential_reference(seed, case):
     ref, ref_stats = oracles.refine_reference(box, key.c, key.d, key.e, key.f, config)
     assert out.tolist() == ref.tolist()
     assert stats == ref_stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(list(Objective)).flatmap(_refine_case))
+def test_refine_matches_sequential_reference(seed, case):
+    _assert_matches_reference(seed, case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(list(Objective)).flatmap(_refine_case))
+def test_refine_stop_test_matches_sequential_reference(seed, case):
+    # The budgets above end before the stop test's trigger; at 0 it tests
+    # every table the climb reaches, and a proof ends the climb.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gen, "_STOP_AFTER", 0)
+        _assert_matches_reference(seed, case)
+
+
+# Schedule entries the golden key's default-budget climb computes before it
+# proves that no swap can gain, out of 65,536.
+GOLDEN_ENTRIES = {
+    Objective.SUM_COORDINATE_NL: 7168,
+    Objective.MIN_COORDINATE_NL: 2560,
+    Objective.FULL_SPECTRUM_NL: 2304,
+}
+
+
+@pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+def test_refine_stops_at_a_swap_local_optimum(monkeypatch, objective):
+    sizes, schedule = [], gen._swap_schedule
+
+    def counted(*key):
+        for block in schedule(*key):
+            sizes.append(len(block[0]))
+            yield block
+
+    monkeypatch.setattr(gen, "_swap_schedule", counted)
+    key = KeySpec.from_dict(GOLDEN["key"])
+    box = initial_sbox(key.x0, key.a, key.b)
+    out, stats = refine_sbox(box, key.c, key.d, key.e, key.f, RefineConfig(objective=objective))
+    assert sum(sizes) == GOLDEN_ENTRIES[objective]
+    assert stats.iterations == 65536
+    if objective is Objective.FULL_SPECTRUM_NL:
+        return  # 32,640 all-mask reference spectra take too long for a unit test
+    # every swap of the final table, scored by the reference transform
+    p, q = np.triu_indices(256, 1)
+    swapped = np.tile(out, (len(p), 1))
+    swapped[np.arange(len(p)), p], swapped[np.arange(len(p)), q] = out[q], out[p]
+    aggregate = np.sum if objective is Objective.SUM_COORDINATE_NL else np.min
+    objectives = np.concatenate([
+        aggregate((256 - np.abs(oracles.spectra_reference(chunk, COORD_MASKS)).max(axis=2)) // 2,
+                  axis=0)
+        for chunk in np.array_split(swapped, 128)])
+    assert objectives.size == 32640
+    assert objectives.max() <= stats.objective_final
 
 
 # A swap of the table filled from (2.758, 1.676, 701113704) per objective,
@@ -299,13 +353,11 @@ def _hides_a_rise(box, objective: Objective, i: int, j: int) -> bool:
 def test_refine_scores_cells_below_the_peak(monkeypatch, objective):
     # A swap moves each cell by 0 or +-4, so the cells at M - 4 can reach
     # the peak: the critical set must reach down to |W| > M - 8.
-    import sboxkit.generator as gen
-
     box = initial_sbox(2.758, 1.676, 701113704)
     i, j = HIDDEN_RISE[objective]
     assert _hides_a_rise(box, objective, i, j)
     monkeypatch.setattr(gen, "_swap_schedule",
-                        lambda *key: (np.array([i], np.uint8), np.array([j], np.uint8)))
+                        lambda *key: iter([(np.array([i], np.uint8), np.array([j], np.uint8))]))
     out, stats = refine_sbox(box, 11, 13, 0.4, 0.6, RefineConfig(budget=1, objective=objective))
     assert out.tolist() == box.tolist()
     assert stats.accepted == 0 and stats.objective_final == stats.objective_initial
@@ -324,9 +376,11 @@ def test_refine_scores_cells_below_the_peak(monkeypatch, objective):
 @example(c=10**9 - 1, d=10**9 - 1, e=1e-13, f=1e-13, budget=64)
 @example(c=10**9 - 1, d=10**9 - 1, e=math.pi / 2, f=math.pi / 2, budget=64)
 def test_swap_schedule_matches_reference(c, d, e, f, budget):
-    i, j = _swap_schedule(c, d, e, f, budget)
-    assert i.dtype == j.dtype == np.uint8
-    assert list(zip(i.tolist(), j.tolist())) == oracles.swap_schedule_reference(c, d, e, f, budget)
+    blocks = list(_swap_schedule(c, d, e, f, budget))
+    assert [len(i) for i, _ in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
+    assert all(i.dtype == j.dtype == np.uint8 for i, j in blocks)
+    pairs = [pair for i, j in blocks for pair in zip(i.tolist(), j.tolist())]
+    assert pairs == oracles.swap_schedule_reference(c, d, e, f, budget)
 
 
 def test_refine_validates_ranges():

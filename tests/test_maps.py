@@ -407,6 +407,15 @@ def test_bool_control_is_out_of_range(control):
         MapParams(MapKind.AHYB, control)
 
 
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("width", [2, WIDE], ids=["narrow", "wide"])
+def test_lyapunov_sweep_rejects_a_bool_among_numbers(flag, width):
+    # np.asarray([3.5, True]) is float64, so the dtype alone would run True as 1.0
+    values = [3.5] * (width - 1) + [flag]
+    with pytest.raises(ParamOutOfRange, match=r"sweep value must be a number, got (np\.)?True_?$"):
+        lyapunov_sweep(MapKind.LOGISTIC, values, 0.3, 10, 100)
+
+
 @pytest.mark.parametrize("width", [2, WIDE], ids=["narrow", "wide"])
 def test_sweep_nonfinite_logistic_raises_scalar_message(width):
     values = np.linspace(3.0, 3.5, width)
