@@ -44,23 +44,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _key_from_args(args) -> KeySpec:
-    flags = {name: getattr(args, name) for name in KEY_RANGES}
-    if args.key_json is not None:
-        if any(value is not None for value in flags.values()):
-            raise ParamOutOfRange("--key-json cannot be combined with key field flags")
-        raw = args.key_json
-        if raw.lstrip().startswith("{"):
-            data = json.loads(raw)
-        else:
-            data = json.loads(Path(raw).read_text())
-        return KeySpec.from_dict(data)
-    missing = [name for name, value in flags.items() if value is None]
-    if missing:
-        raise ParamOutOfRange(
-            f"missing key fields: {', '.join('--' + n for n in missing)} "
-            "(or pass --key-json)"
-        )
-    return KeySpec(**flags)
+    # The flags reach `KeySpec.from_dict` as the strings they were given,
+    # exactly as `--key-json` string fields do.
+    flags = {name: getattr(args, name) for name in KEY_RANGES
+             if getattr(args, name) is not None}
+    if args.key_json is None:
+        return KeySpec.from_dict(flags)
+    if flags:
+        raise ParamOutOfRange("--key-json cannot be combined with key field flags")
+    raw = args.key_json
+    text = raw if raw.lstrip().startswith("{") else Path(raw).read_text()
+    return KeySpec.from_dict(json.loads(text))
 
 
 def _cmd_generate(args) -> int:
@@ -168,16 +162,18 @@ def _cmd_lyapunov(args) -> int:
     return 0
 
 
-def _add_common(sub, fmt=True, nl=True, branch=False):
-    if fmt:
-        sub.add_argument("--format", choices=("dec", "hex"), default="dec",
-                         help="grid file format")
-    if nl:
-        sub.add_argument("--nl-mode", choices=("coord", "full"), default="coord",
-                         help="nonlinearity aggregation mode")
-    if branch:
-        sub.add_argument("--branch-mode", choices=("eq1", "alg1"), default="eq1",
-                         help="third-branch variant of the primary map")
+def _enum_option(default, help, members=None):
+    """`add_argument` keywords for a choice among enum values (all of
+    `default`'s enum unless `members` is given) that defaults to `default`."""
+    return dict(choices=[m.value for m in members or type(default)],
+                default=default.value, help=help)
+
+
+# Enum options that several subcommands share.
+_FORMAT = _enum_option(BoxFormat.DECIMAL_GRID, "grid file format",
+                       (BoxFormat.DECIMAL_GRID, BoxFormat.HEX_GRID))
+_NL_MODE = _enum_option(NLMode.COORDINATE, "nonlinearity aggregation mode")
+_BRANCH_MODE = _enum_option(BranchMode.EQUATION1, "third-branch variant of the primary map")
 
 
 @functools.cache
@@ -188,18 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate an S-box from a key")
-    for name, (_, _, integer) in KEY_RANGES.items():
-        g.add_argument("--" + name, type=int if integer else float, default=None,
-                       help=f"key field {name}")
+    for name in KEY_RANGES:
+        g.add_argument("--" + name, help=f"key field {name}")
     g.add_argument("--key-json", default=None,
                    help="key as a JSON object (inline or a file path)")
     g.add_argument("--out", required=True, help="output grid file")
     g.add_argument("--report", default=None, help="also write a JSON metric report")
-    g.add_argument("--budget", type=int, default=65536,
+    g.add_argument("--budget", type=int, default=RefineConfig.budget,
                    help="refinement swap-attempt budget")
-    g.add_argument("--objective", choices=("sum", "min", "full"), default="sum",
-                   help="refinement objective")
-    _add_common(g, branch=True)
+    g.add_argument("--objective",
+                   **_enum_option(RefineConfig.objective, "refinement objective"))
+    g.add_argument("--format", **_FORMAT)
+    g.add_argument("--nl-mode", **_NL_MODE)
+    g.add_argument("--branch-mode", **_BRANCH_MODE)
     g.set_defaults(func=_cmd_generate)
 
     a = sub.add_parser("analyze", help="run the metric battery on a grid file")
@@ -209,13 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--md", action="store_true", help="emit a markdown row")
     a.add_argument("--allow-non-bijective", action="store_true",
                    help="measure non-permutations instead of failing")
-    _add_common(a)
+    a.add_argument("--format", **_FORMAT)
+    a.add_argument("--nl-mode", **_NL_MODE)
     a.set_defaults(func=_cmd_analyze)
 
     c = sub.add_parser("compare", help="compare corpus entries and/or grid files")
     c.add_argument("entries", nargs="+", help="corpus ids or grid file paths")
     c.add_argument("--csv", action="store_true", help="CSV instead of markdown")
-    _add_common(c)
+    c.add_argument("--format", **_FORMAT)
+    c.add_argument("--nl-mode", **_NL_MODE)
     c.set_defaults(func=_cmd_compare)
 
     b = sub.add_parser("bifurcate", help="write a bifurcation scan as CSV")
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--transient", type=int, default=1000)
     b.add_argument("--samples", type=int, default=200)
     b.add_argument("--out", default=None, help="CSV path (stdout if omitted)")
-    _add_common(b, fmt=False, nl=False, branch=True)
+    b.add_argument("--branch-mode", **_BRANCH_MODE)
     b.set_defaults(func=_cmd_bifurcate)
 
     l = sub.add_parser("lyapunov", help="estimate Lyapunov exponents")
@@ -241,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--transient", type=int, default=1000)
     l.add_argument("--n", type=int, default=100000, help="samples per estimate")
     l.add_argument("--out", default=None, help="CSV path for sweeps")
-    _add_common(l, fmt=False, nl=False, branch=True)
+    l.add_argument("--branch-mode", **_BRANCH_MODE)
     l.set_defaults(func=_cmd_lyapunov)
 
     return parser

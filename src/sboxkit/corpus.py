@@ -24,9 +24,9 @@ from importlib import resources
 
 import numpy as np
 
-from .boxfile import BoxFormat, load_sbox
+from .boxfile import parse_grid
 from .errors import check_member
-from .metrics import MetricReport, NLMode, full_report
+from .metrics import MetricReport, NLMode, as_sbox, full_report
 
 # Metric columns a published row may carry, in presentation order, each
 # with the MetricReport attribute that computes it.
@@ -84,17 +84,11 @@ def _load_corpus() -> tuple:
     manifest = json.loads(_data_text("manifest.json"))
     entries = []
     for item in manifest["entries"]:
-        table = None
-        if "file" in item:
-            with resources.as_file(
-                resources.files("sboxkit.data").joinpath(item["file"])
-            ) as path:
-                table = load_sbox(path, BoxFormat.DECIMAL_GRID)
         entries.append(CorpusEntry(
             id=item["id"],
             label=item.get("label", item["id"]),
             source=item.get("source", ""),
-            table=table,
+            table=as_sbox(parse_grid(_data_text(item["file"]))) if "file" in item else None,
             published=item.get("published"),
             note=item.get("note"),
             data_quality=item.get("data_quality"),

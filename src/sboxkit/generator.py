@@ -145,9 +145,12 @@ class KeySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KeySpec":
+        """The key a JSON object holds; fields are read by `_key_field_value`."""
+        if not isinstance(data, dict):
+            raise ParamOutOfRange(f"key must be a JSON object, got {type(data).__name__}")
         missing = [k for k in KEY_RANGES if k not in data]
         if missing:
-            raise ParamOutOfRange(f"key object is missing fields: {', '.join(missing)}")
+            raise ParamOutOfRange(f"missing key fields: {', '.join(missing)}")
         extra = [k for k in data if k not in KEY_RANGES]
         if extra:
             raise ParamOutOfRange(f"key object has unknown fields: {', '.join(extra)}")

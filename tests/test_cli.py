@@ -9,7 +9,8 @@ import pytest
 
 from checkout_env import checkout_env
 from sboxkit import cli
-from sboxkit import MapKind, MapParams, get_entry, iterate, lyapunov, save_sbox
+from sboxkit import (BoxFormat, BranchMode, MapKind, MapParams, NLMode, RefineConfig,
+                     get_entry, iterate, lyapunov, save_sbox)
 from sboxkit.reporting import format_real
 
 KEY_FLAGS = ["--x0", "0.442637767848956", "--a", "1.0", "--b", "7317130",
@@ -82,6 +83,60 @@ def test_generate_key_json_inline_and_file(tmp_path):
     res = run_cli("generate", *KEY_FLAGS, "--budget", "64", "--out", flagged)
     assert res.returncode == 0
     assert flagged.read_bytes() == out1.read_bytes()
+
+    # The flags are read exactly as --key-json string fields are.
+    strings = dict(zip((f[2:] for f in KEY_FLAGS[::2]), KEY_FLAGS[1::2]))
+    echoes = []
+    for key_args in (KEY_FLAGS, ["--key-json", json.dumps(strings)]):
+        out, rep = tmp_path / "echo.sbox", tmp_path / "echo.json"
+        res = run_cli("generate", *key_args, "--budget", "64", "--out", out,
+                      "--report", rep)
+        assert res.returncode == 0, res.stderr
+        assert out.read_bytes() == out1.read_bytes()
+        echoes.append(json.loads(rep.read_text())["manifest"]["parameters"]["key"])
+    assert echoes[0] == echoes[1]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--c", "5.0"), ("--b", "7317130.5"), ("--x0", "abc"),
+])
+def test_generate_rejects_mistyped_key_flag(tmp_path, flag, value):
+    flags = list(KEY_FLAGS)
+    flags[flags.index(flag) + 1] = value
+    out = tmp_path / "x.sbox"
+    res = run_cli("generate", *flags, "--budget", "64", "--out", out)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"sboxkit: error: key field {flag[2:]} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["5", "null", "true", '["x0", "a", "b"]', '"x0 a b c d e f"'])
+def test_generate_rejects_a_key_that_is_not_an_object(tmp_path, text):
+    key_path = tmp_path / "key.json"
+    key_path.write_text(text + "\n")
+    out = tmp_path / "x.sbox"
+    res = run_cli("generate", "--key-json", key_path, "--out", out)
+    assert res.returncode == 1
+    assert res.stderr.startswith("sboxkit: error: key must be a JSON object, got ")
+    assert len(res.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_generate_offers_no_json_grid_format(tmp_path):
+    out = tmp_path / "x.sbox"
+    res = run_cli("generate", *KEY_FLAGS, "--format", "json", "--out", out)
+    assert res.returncode == 1
+    assert "invalid choice: 'json' (choose from 'dec', 'hex')" in res.stderr
+    assert not out.exists()
+
+
+def test_option_defaults_are_the_library_declarations():
+    args = cli.build_parser().parse_args(["generate", "--out", "x"])
+    assert args.budget == RefineConfig.budget
+    assert args.objective == RefineConfig.objective.value
+    assert args.format == BoxFormat.DECIMAL_GRID.value
+    assert args.nl_mode == NLMode.COORDINATE.value
+    assert args.branch_mode == BranchMode.EQUATION1.value
 
 
 @pytest.mark.parametrize("field, value", [("b", 7317130.9), ("c", 1.999), ("c", True)])

@@ -90,9 +90,18 @@ def test_keyspec_rejects_booleans():
         KeySpec(x0=1.0, a=1.0, b=2_000_000, c=True, d=7, e=0.5, f=0.5)
 
 
+@pytest.mark.parametrize("data, kind", [
+    (5, "int"), (None, "NoneType"), (True, "bool"), ("x0abcdef", "str"),
+    (["x0", "a", "b", "c", "d", "e", "f"], "list"),
+])
+def test_keyspec_from_dict_rejects_a_non_object(data, kind):
+    with pytest.raises(ParamOutOfRange, match=f"^key must be a JSON object, got {kind}$"):
+        KeySpec.from_dict(data)
+
+
 def test_keyspec_from_dict_rejects_bad_shape():
     base = {"x0": 1.0, "a": 1.0, "b": 2_000_000, "c": 5, "d": 7, "e": 0.5, "f": 0.5}
-    with pytest.raises(ParamOutOfRange, match="missing"):
+    with pytest.raises(ParamOutOfRange, match="^missing key fields: e$"):
         KeySpec.from_dict({k: v for k, v in base.items() if k != "e"})
     with pytest.raises(ParamOutOfRange, match="unknown"):
         KeySpec.from_dict(dict(base, zz=1))
