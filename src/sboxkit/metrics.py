@@ -24,13 +24,14 @@ correlation matrix of Daemen & Rijmen, The Design of Rijndael, 2002) are the
 single product H[1:, S] @ H.  It runs in float32 and is exact: every term is
 +-1 and every partial sum is an integer of magnitude at most 256, far inside
 float32's 24-bit significand, in whatever order or with whatever fused
-multiply-adds BLAS sums.  The DDT is one bincount over the cells
-(dc << 8) | (S(x) XOR S(x XOR dc)).  H is built from its definition by
-Sylvester doubling, and it and the x XOR dc index grid are built on first
-use and shared read-only.  H is the one source of component signs and the
-one Walsh route: `walsh_spectrum` is the sign row (-1)^f(x) times H, the
-generator's start spectrum and its rank-one swap updates use the same H,
-and so does `component_bits`.
+multiply-adds BLAS sums.  DDT rows are counted by one bincount over the
+cells (dc << 8) | (S(x) XOR S(x XOR dc)); DU needs only each row's maximum,
+so it counts the rows a block at a time and never holds the whole table.
+H is built from its definition by Sylvester doubling, and it and the
+x XOR dc index grid are built on first use and shared read-only.  H is the
+one source of component signs and the one Walsh route: `walsh_spectrum` is
+the sign row (-1)^f(x) times H, the generator's start spectrum and its
+rank-one swap updates use the same H, and so does `component_bits`.
 
 Coordinate ("per output bit") aggregation is the default nonlinearity
 presentation; the rigorous minimum over all 255 nonzero output masks is
@@ -223,18 +224,27 @@ def _bic_nl_matrix(nls: np.ndarray) -> BicNlResult:
     return BicNlResult(m, float(m.sum() / 56))
 
 
-def _ddt(t: np.ndarray) -> np.ndarray:
-    """All 256 rows in one bincount over the cells (dc << 8) | dy."""
-    cells = np.arange(0, N * N, N)[:, None] | (t ^ t[_xor_table()])
-    return np.bincount(cells.ravel(), minlength=N * N).reshape(N, N)
+# DU counts the DDT this many rows at a time.  A block's int64 cells and
+# counts are 64 KiB each, well under glibc's 128 KiB mmap threshold, so they
+# are reused from the heap.  The whole table's two 512 KiB arrays would be
+# mapped and handed back to the kernel on every call, costing about 220
+# page faults per table.  Blocks of 24 to 64 rows ran equally fast.
+_DDT_BLOCK_ROWS = 32
 
 
-def _du(ddt: np.ndarray) -> DuResult:
-    row_max = ddt[1:].max(axis=1)
+def _ddt(t: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """DDT rows `rows` (all 256 by default) in one bincount over the cells (dc << 8) | dy."""
+    pairs = _xor_table()[rows]
+    cells = (np.arange(len(pairs)) << 8)[:, None] | (t ^ t[pairs])
+    return np.bincount(cells.ravel(), minlength=pairs.size).reshape(-1, N)
+
+
+def _du(t: np.ndarray) -> DuResult:
+    """DU from the row maxima for dc = 1..255, counted `_DDT_BLOCK_ROWS` rows at a time."""
+    row_max = np.concatenate([_ddt(t, slice(dc, dc + _DDT_BLOCK_ROWS)).max(axis=1)
+                              for dc in range(1, N, _DDT_BLOCK_ROWS)])
     du = int(row_max.max())
-    grid = np.zeros(N, dtype=np.int64)
-    grid[:255] = row_max
-    return DuResult(du, du / N, grid.reshape(16, 16))
+    return DuResult(du, du / N, np.append(row_max, 0).reshape(16, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +303,7 @@ def differential_uniformity(box, allow_non_bijective: bool = False) -> DuResult:
     scalar DU is independent of that layout choice.
     """
     t = as_sbox(box, allow_non_bijective)
-    return _du(_ddt(t))
+    return _du(t)
 
 
 def fixed_points(box) -> list:
@@ -336,7 +346,7 @@ def full_report(box, nl_mode: NLMode = NLMode.COORDINATE,
     nl = _nl_summary(nls, nl_mode)
     bic = _bic_nl_matrix(nls)
     sac = _sac(t)
-    du = _du(_ddt(t))
+    du = _du(t)
     fp = fixed_points(t)
 
     return MetricReport(

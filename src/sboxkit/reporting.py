@@ -69,16 +69,16 @@ def write_param_csv(path, column: str, points, run: int = 1) -> None:
 
     `points` is an (N, 2) array whose rows come in runs of `run` rows that
     share one parameter, as a bifurcation scan's do.  Numbers are rendered
-    as by `format_real`; each run's parameter is formatted once, and the
-    output is written run by run rather than joined into one string.
+    as by `format_real`; each run's parameter is formatted once, each run
+    is rendered by one `%` operation, and the output is written run by run
+    rather than joined into one string.
     """
-    value_line = "{:.17g}\n".format
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
         out.write(f"param,{column}\n")
         for start in range(0, len(points), max(run, 1)):
             block = points[start:start + run]
-            prefix = format_real(block[0, 0]) + ","
-            out.write(prefix + prefix.join(map(value_line, block[:, 1].tolist())))
+            line = format_real(block[0, 0]) + ",%.17g\n"
+            out.write(line * len(block) % tuple(block[:, 1].tolist()))
 
 
 def nl_summary_line(report: MetricReport) -> str:

@@ -412,6 +412,7 @@ def test_spectra_metrics_match_fwht_reference(table):
     assert full_report(table, allow_non_bijective=True).lp == lp
 
 
+@example(table=AES)  # besides SPECIAL_TABLES' identity and constants
 @battery_examples
 @pytest.mark.filterwarnings("ignore::sboxkit.errors.NonBijectiveWarning")
 def test_ddt_matches_direct_count(table):
@@ -419,9 +420,13 @@ def test_ddt_matches_direct_count(table):
     ddt = difference_distribution(table)
     assert ddt.dtype == np.int64
     assert np.array_equal(ddt, ref)
+    row_max = ref[1:].max(axis=1)
     du = differential_uniformity(table, allow_non_bijective=True)
-    assert du.du == ref[1:].max()
-    assert np.array_equal(du.grid.reshape(-1)[:255], ref[1:].max(axis=1))
+    report = full_report(table, allow_non_bijective=True)
+    for got in (du, metrics.DuResult(report.du, report.dp, report.du_grid)):
+        assert got.du == row_max.max()
+        assert got.dp == row_max.max() / 256
+        assert np.array_equal(got.grid.reshape(-1), np.append(row_max, 0))
 
 
 @battery_examples

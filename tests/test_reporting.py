@@ -33,6 +33,20 @@ def test_param_csv_streams_runs(tmp_path, capsys):
     assert capsys.readouterr().out == want.replace("param,x", "param,le", 1)
 
 
+def test_param_csv_renders_special_values_and_a_short_last_run(capsys):
+    values = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, -1e-300, 1 / 3]
+    params = [-0.0] * 3 + [np.nan] * 3 + [5e-324] * 2  # the last run is shorter than `run`
+    write_param_csv(None, "x", np.column_stack((params, values)), run=3)
+    out = capsys.readouterr().out
+    assert out == "param,x\n" + "".join(f"{format_real(p)},{format_real(v)}\n"
+                                        for p, v in zip(params, values))
+    assert out.splitlines()[1:] == [
+        "-0,-0", "-0,inf", "-0,-inf",
+        "nan,nan", "nan,4.9406564584124654e-324", "nan,1.0000000000000001e+300",
+        "4.9406564584124654e-324,-1e-300", "4.9406564584124654e-324,0.33333333333333331",
+    ]
+
+
 def test_param_csv_without_rows_is_header_only(capsys):
     write_param_csv(None, "x", np.empty((0, 2)), run=0)
     assert capsys.readouterr().out == "param,x\n"
