@@ -52,6 +52,13 @@ _STRAY = {base: re.compile(rf"[^{digits}\s]") for base, digits in _DIGITS.items(
 
 def _parse_tokens(text: str, base: int) -> np.ndarray:
     digits = _DIGITS[base] if _STRAY[base].search(text) else None
+    if digits is None:  # every token is digits of the base: one pass if nothing is wrong
+        tokens = text.split()
+        if len(tokens) == 256:
+            values = [int(token, base) for token in tokens]
+            if max(values) <= 255:
+                return np.array(values, dtype=np.uint8)
+    # otherwise the line-by-line loop finds the first error and reports where
     values = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()

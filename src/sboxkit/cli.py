@@ -12,13 +12,20 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from .boxfile import BoxFormat, load_sbox, save_sbox
-from .errors import GenerationStall, NotBijective, ParamOutOfRange, SBoxKitError
+from .errors import (
+    GenerationStall,
+    NonBijectiveWarning,
+    NotBijective,
+    ParamOutOfRange,
+    SBoxKitError,
+)
 from .generator import KEY_RANGES, KeySpec, Objective, RefineConfig, generate
 from .maps import BranchMode, MapKind, MapParams, bifurcation_scan, lyapunov
 from .metrics import NLMode, full_report
@@ -84,7 +91,10 @@ def _cmd_generate(args) -> int:
 def _cmd_analyze(args) -> int:
     box = load_sbox(args.path, BoxFormat(args.format), args.allow_non_bijective)
     nl_mode = NLMode(args.nl_mode)
-    report = full_report(box, nl_mode, args.allow_non_bijective)
+    with warnings.catch_warnings():
+        # load_sbox has already warned about a non-bijective table
+        warnings.simplefilter("ignore", NonBijectiveWarning)
+        report = full_report(box, nl_mode, args.allow_non_bijective)
     if args.json:
         manifest = run_manifest("analyze", {
             "path": str(args.path),

@@ -25,6 +25,9 @@ library's single-orbit kernel must match them bit for bit, warnings and
 errors included.
 `bifurcation_reference` and `lyapunov_sweep_reference` run one such orbit per
 parameter value, which the lockstep sweeps must match in the same way.
+`parse_tokens_reference` is the grid parser's line-by-line token loop; the
+library's one-pass path for a clean grid must give the same array, and the
+same ParseError message for any other text.
 """
 
 import math
@@ -38,10 +41,12 @@ from sboxkit.generator import (
     RefineStats,
     _check_key_field,
 )
+from sboxkit.boxfile import _DIGITS, _STRAY
 from sboxkit.errors import (
     DegenerateOrbitWarning,
     DerivativeSkipWarning,
     DerivativeZero,
+    ParseError,
 )
 from sboxkit.maps import (
     DERIVATIVE_FLOOR,
@@ -54,6 +59,29 @@ from sboxkit.maps import (
     round15,
 )
 from sboxkit.metrics import as_sbox
+
+
+def parse_tokens_reference(text: str, base: int) -> np.ndarray:
+    """A grid's 256 values, token by token and line by line; errors name the row and column."""
+    digits = _DIGITS[base] if _STRAY[base].search(text) else None
+    values = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        room = 256 - len(values)
+        for col_no, token in enumerate(tokens[:room], start=1):
+            if digits and token.strip(digits):  # holds a character that is not a digit
+                raise ParseError(f"invalid value {token!r} at row {line_no}, column {col_no}")
+            v = int(token, base)  # never negative: a token has no sign
+            if v > 255:
+                raise ParseError(
+                    f"value {v} out of range [0, 255] at row {line_no}, column {col_no}"
+                )
+            values.append(v)
+        if len(tokens) > room:
+            raise ParseError(f"expected 256 values, found more (line {line_no})")
+    if len(values) != 256:
+        raise ParseError(f"expected 256 values, got {len(values)}")
+    return np.array(values, dtype=np.uint8)
 
 
 def parity(v: int) -> int:

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sboxkit import (
@@ -112,6 +113,49 @@ def test_parse_rejects_signs_prefixes_underscores_and_non_ascii_digits(token, fm
 ])
 def test_parse_accepts_leading_zeros_and_upper_case_hex(fmt, token, value):
     assert parse_grid(_grid_with(token, fmt), fmt)[37] == value
+
+
+STRAY_TOKENS = ["+5", "0x1f", "1_0", "\u0663", "7g"]
+SEPARATORS = [" ", " ", " ", "  ", "\t", "\n", "\n", "\r\n", "\n\n", " \n ", "\x0b", "\x0c",
+              "\x1c", "\x85", "\u2028", "\u3000"]
+
+
+@st.composite
+def grid_texts(draw):
+    """Grid text with 250-260 tokens in random whitespace, some out of range or stray."""
+    fmt = draw(st.sampled_from([BoxFormat.DECIMAL_GRID, BoxFormat.HEX_GRID]))
+    spec = draw(st.sampled_from(["d"] if fmt is BoxFormat.DECIMAL_GRID else ["02x", "x", "X"]))
+    count = draw(st.one_of(st.just(256), st.integers(250, 260)))
+    tokens = [format(v, spec) for v in
+              draw(st.lists(st.integers(0, 255), min_size=count, max_size=count))]
+    bad = st.one_of(st.integers(256, 300).map(lambda v: format(v, spec)),
+                    st.sampled_from(STRAY_TOKENS))
+    for index, token in draw(st.lists(st.tuples(st.integers(0, count - 1), bad), max_size=3)):
+        tokens[index] = token
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=count + 1, max_size=count + 1))
+    return fmt, seps[0] + "".join(t + sep for t, sep in zip(tokens, seps[1:]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=grid_texts())
+@example(case=(BoxFormat.DECIMAL_GRID, format_grid(BOX)))
+@example(case=(BoxFormat.HEX_GRID, format_grid(BOX, BoxFormat.HEX_GRID)))
+@example(case=(BoxFormat.DECIMAL_GRID, format_grid(BOX).replace("37", "256", 1)))
+@example(case=(BoxFormat.HEX_GRID, format_grid(BOX, BoxFormat.HEX_GRID).replace("25", "100", 1)))
+@example(case=(BoxFormat.HEX_GRID, format_grid(BOX, BoxFormat.HEX_GRID) + "\u0663"))
+def test_parse_matches_the_token_loop(case):
+    fmt, text = case
+    base = 16 if fmt is BoxFormat.HEX_GRID else 10
+    try:
+        want = oracles.parse_tokens_reference(text, base)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_grid(text, fmt)
+        assert str(info.value) == str(exc)
+    else:
+        got = parse_grid(text, fmt)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
 
 
 def test_parse_json_errors():

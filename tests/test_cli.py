@@ -233,6 +233,7 @@ def test_analyze_non_bijective_exit_codes(tmp_path):
     res = run_cli("analyze", path, "--allow-non-bijective", "--json")
     assert res.returncode == 0
     assert json.loads(res.stdout)["report"]["bijective"] is False
+    assert res.stderr.count("NonBijectiveWarning") == 1
 
 
 def test_analyze_human_and_markdown(aes_grid):

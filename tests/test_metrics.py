@@ -412,6 +412,15 @@ def test_spectra_metrics_match_fwht_reference(table):
     assert full_report(table, allow_non_bijective=True).lp == lp
 
 
+def test_half_pairs_cover_every_input_once():
+    lo, hi = metrics._half_pairs()
+    assert lo.shape == hi.shape == (255, 128)
+    for dc in range(1, 256):
+        row = lo[dc - 1]
+        assert np.array_equal(hi[dc - 1], row ^ dc)
+        assert np.array_equal(np.sort(np.concatenate((row, row ^ dc))), IDENTITY)
+
+
 @example(table=AES)  # besides SPECIAL_TABLES' identity and constants
 @battery_examples
 @pytest.mark.filterwarnings("ignore::sboxkit.errors.NonBijectiveWarning")

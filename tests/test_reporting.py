@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sboxkit import NLMode, full_report, get_entry
 from sboxkit.corpus import published_values
@@ -9,6 +11,7 @@ from sboxkit.reporting import (
     format_real,
     markdown_row,
     report_json,
+    report_to_dict,
     run_manifest,
     write_param_csv,
 )
@@ -77,3 +80,58 @@ def test_report_json_keys_are_the_published_layout(mode):
     assert list(payload["report"]) == REPORT_KEYS
     assert payload["report"]["nl_mode"] == mode.value
     assert payload["report"]["du_grid"] == report.du_grid.tolist()
+
+
+SPECIAL_FLOATS = [-0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e300]
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(), st.sampled_from(SPECIAL_FLOATS), st.text(),
+)
+# homogeneous lists take the writer's one-map path; bool/int mixes do not
+JSON_LEAVES = st.one_of(
+    JSON_SCALARS,
+    st.lists(st.integers()), st.lists(st.floats()), st.lists(st.booleans()), st.lists(st.text()),
+    st.lists(st.one_of(st.booleans(), st.integers())),
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(st.lists(children), st.lists(children).map(tuple),
+                               st.dictionaries(st.text(), children)),
+    max_leaves=20,
+)
+PROPOSED_REPORT = full_report(get_entry("paper-proposed").table)
+
+
+def _json_dumps_report(report, manifest):
+    return json.dumps({"manifest": manifest, "report": report_to_dict(report)}, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=JSON_TREES)
+def test_report_json_writes_what_json_dumps_writes(tree):
+    manifest = run_manifest("analyze", {"tree": tree})
+    assert report_json(PROPOSED_REPORT, manifest) == _json_dumps_report(PROPOSED_REPORT, manifest)
+
+
+@pytest.mark.parametrize("mode", list(NLMode))
+@pytest.mark.filterwarnings("ignore::sboxkit.errors.NonBijectiveWarning")
+def test_report_json_of_real_reports_matches_json_dumps(mode):
+    rng = np.random.default_rng(7)
+    duplicate = np.arange(256)
+    duplicate[0] = 5
+    tables = [get_entry("aes").table, get_entry("paper-proposed").table,
+              rng.permutation(256), duplicate]
+    for table in tables:
+        report = full_report(table, mode, allow_non_bijective=True)
+        manifest = run_manifest("analyze", {"path": "box.sbox", "format": "dec",
+                                            "nl_mode": mode.value, "allow_non_bijective": True})
+        assert report_json(report, manifest) == _json_dumps_report(report, manifest)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.int64(3), np.arange(3), {1: 2},
+                                   {"a"}, [1, np.bool_(True)], {"k": object()}],
+                         ids=["np-float", "np-int", "ndarray", "int-key", "set",
+                              "nested-np-bool", "nested-object"])
+def test_report_json_rejects_unsupported_types(value):
+    with pytest.raises(TypeError):
+        report_json(PROPOSED_REPORT, run_manifest("analyze", {"value": value}))
