@@ -261,15 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotBijective as exc:
-        print(f"sboxkit: error: {exc}", file=sys.stderr)
-        return 2
-    except GenerationStall as exc:
-        print(f"sboxkit: error: {exc}", file=sys.stderr)
-        return 3
     except (SBoxKitError, ValueError, ArithmeticError, OSError) as exc:
         print(f"sboxkit: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, NotBijective) else 3 if isinstance(exc, GenerationStall) else 1
 
 
 if __name__ == "__main__":

@@ -42,15 +42,20 @@ and every cell at the global peak for min and full, so only the few pairs
 that meet both conditions at all those cells can gain.  Once 2,048 entries
 pass without an accept, those pairs are scored once at the critical cells;
 if none beats the objective, no swap of the current table can, every entry
-left is a rejection, and the climb returns with the stats of the whole
-budget.  Most climbs get there before the budget ends: on the golden key
-the climb computes 7,168 schedule entries for the sum, 2,560 for min and
-2,304 for full, of 65,536.  An entry costs about 2.3 us of scalar libm,
-most of a refine.  Over two sets of 20 random keys, a default-budget refine
-took a median of 0.08-0.11 s for the sum and 0.01-0.03 s for min and full
-on a 2-core x86-64 machine (Python 3.11, numpy 2.4), against 0.17-0.24 s
-when every entry is computed; `generate` adds about a millisecond for the
-fill.
+left is a rejection, and the climb is over.
+
+So the climb is one pass over the schedule.  Each block is scanned for
+accepts; each accept builds the next table's view (its critical cells,
+scorer and stop-test candidates) once; after a block, the stop test may
+run; and a proof or the end of the budget leads to the one exit, with the
+stats of the whole budget.  Most climbs stop before the budget ends: on the
+golden key the climb computes 7,168 schedule entries for the sum, 2,560 for
+min and 2,304 for full, of 65,536.  An entry costs about 1.2-2.1 us of
+scalar libm, most of a refine.  Over the first 30 keys of the benchmark's
+seed-42 `keygen` workload, a default-budget refine took a median of
+40-60 ms for the sum and 4-8 ms for min and full (one BLAS thread, a 2-core
+x86-64 machine, Python 3.11, numpy 2.4), against 0.09-0.18 s when every
+entry is computed; `generate` adds under a millisecond for the fill.
 
 The recurrences are guarded: the state is clamped to >= 1e-12 before the log
 terms, and if |cos(x)| < 1e-12 the state is nudged by 1e-9 before taking the
@@ -253,26 +258,53 @@ def _swap_schedule(c: int, d: int, e: float, f: float, budget: int):
         yield np.frombuffer(si, np.uint8), np.frombuffer(sj, np.uint8)
 
 
-def _gain_candidates(walsh, signs, hadamard, peak, per_row) -> tuple:
-    """The swaps (p, q), p < q, that could raise the objective, as two index arrays.
+def _climb_view(walsh, signs, hadamard, per_row) -> tuple:
+    """The scorer of one table's swaps, and its stop test's candidate pairs.
 
-    These lower every peak cell of some row (sum) or every cell at the
-    global peak (min, full), the stop test of the module docstring: no other
-    swap can gain.
+    Returns (score, candidates).  `score(i, j)` gives the objective after
+    each swap (i[k], j[k]), read at the critical cells alone; `candidates()`
+    gives the swaps (p, q), p < q, that lower every peak cell of some row
+    (sum) or every cell at the global peak (min, full), as two index arrays:
+    no other swap can gain (module docstring).  Built once per accepted table.
     """
-    rows, cols = np.nonzero(np.abs(walsh) == peak[:, None])
-    # lowers[x, k]: s_b(x) * H[x, a] = sign W_b(a) at peak cell k = (b, a)
-    lowers = signs[rows].T * hadamard[:, cols] == np.sign(walsh[rows, cols])
-    groups = [rows == b for b in np.unique(rows)] if per_row else [slice(None)]
-    codes = []
-    for cells in groups:
-        x = np.flatnonzero(lowers[:, cells].all(axis=1))
-        s = signs[np.unique(rows[cells])][:, x]
-        # s_b(p) != s_b(q) in each of the group's rows
-        p, q = np.nonzero(np.triu(s.T @ s == -len(s)))
-        codes.append(x[p] * 256 + x[q])
-    codes = np.unique(np.concatenate(codes))
-    return codes >> 8, codes & 255
+    # the critical cells, |W| > M - 8 for each peak M (module docstring)
+    mag = np.abs(walsh)
+    peak = mag.max(axis=1)
+    if not per_row:
+        peak[:] = peak.max()
+    critical = mag > (peak - 8)[:, None]
+    rows, cols = np.nonzero(critical)
+    # one row of cell numbers per peak, padded with its last cell
+    counts = critical.sum(axis=1, keepdims=True) if per_row else np.array([[len(rows)]])
+    ends = np.cumsum(counts)[:, None]
+    groups = np.minimum(ends - counts + np.arange(counts.max()), ends - 1)
+    # row x: s_b(x), then H[x, a], of each cell (b, a)
+    cell_w, n = walsh[rows, cols], len(rows)
+    cell_sh = np.concatenate([signs[rows], hadamard[cols]]).T.copy()
+
+    def score(i, j):
+        # W + (s(j) - s(i)) * (H[i] - H[j]) at every cell, one row per
+        # swap; an i == j entry scores the current table, never a gain
+        diff = cell_sh[j] - cell_sh[i]
+        moved = np.abs(cell_w - diff[:, :n] * diff[:, n:])
+        return ((256 - moved[:, groups].max(axis=2)) // 2).sum(axis=1)
+
+    def candidates():
+        at = np.flatnonzero(np.abs(cell_w) == peak[rows])  # the peak cells
+        # lowers[x, k]: s_b(x) * H[x, a] = sign W_b(a) at peak cell k = (b, a)
+        lowers = cell_sh[:, at] * cell_sh[:, n + at] == np.sign(cell_w[at])
+        at_rows = rows[at]
+        codes = []
+        for cells in [at_rows == b for b in np.unique(at_rows)] if per_row else [slice(None)]:
+            x = np.flatnonzero(lowers[:, cells].all(axis=1))
+            s = signs[np.unique(at_rows[cells])][:, x]
+            # s_b(p) != s_b(q) in each of the group's rows
+            p, q = np.nonzero(np.triu(s.T @ s == -len(s)))
+            codes.append(x[p] * 256 + x[q])
+        codes = np.unique(np.concatenate(codes))
+        return codes >> 8, codes & 255
+
+    return score, candidates
 
 
 def refine_sbox(box, c: int, d: int, e: float, f: float,
@@ -293,61 +325,36 @@ def refine_sbox(box, c: int, d: int, e: float, f: float,
     masks = np.arange(1, 256) if full else np.array(COORD_MASKS)
     signs = hadamard[masks][:, table]
     walsh = _all_mask_spectra(table, masks).astype(np.int16)
-    blocks = _swap_schedule(c, d, e, f, config.budget)
-    i = j = np.empty(0, np.uint8)  # the drawn entries not yet scanned
     best = initial = int((np.sum if per_row else np.min)(_nl_from_spectra(walsh)))
     accepted = 0
-    while True:
-        # the critical cells, |W| > M - 8 for each peak M (module docstring)
-        mag = np.abs(walsh)
-        peak = mag.max(axis=1)
-        if not per_row:
-            peak[:] = peak.max()
-        critical = mag > (peak - 8)[:, None]
-        rows, cols = np.nonzero(critical)
-        # one row of cell numbers per peak, padded with its last cell
-        counts = critical.sum(axis=1, keepdims=True) if per_row else np.array([[len(rows)]])
-        ends = np.cumsum(counts)[:, None]
-        groups = np.minimum(ends - counts + np.arange(counts.max()), ends - 1)
-        # row x: s_b(x), then H[x, a], of each cell (b, a)
-        cell_w, n = walsh[rows, cols], len(rows)
-        cell_sh = np.concatenate([signs[rows], hadamard[cols]]).T.copy()
-
-        def score(i, j):
-            # W + (s(j) - s(i)) * (H[i] - H[j]) at every cell, one row per
-            # swap; an i == j entry scores the current table, never a gain
-            diff = cell_sh[j] - cell_sh[i]
-            moved = np.abs(cell_w - diff[:, :n] * diff[:, n:])
-            return ((256 - moved[:, groups].max(axis=2)) // 2).sum(axis=1)
-
-        quiet, tested = 0, False  # entries scanned since the last accept
-        while True:
-            if not tested and quiet >= _STOP_AFTER:
-                # once per table: if no swap at all can gain, every entry
-                # left is a rejection and the climb is over
-                tested = True
-                p, q = _gain_candidates(walsh, signs, hadamard, peak, per_row)
-                if not any((score(p[k:k + _BLOCK], q[k:k + _BLOCK]) > best).any()
-                           for k in range(0, len(p), _BLOCK)):
-                    return table, RefineStats(config.budget, accepted, initial, best)
-            if not len(i):
-                i, j = next(blocks, (None, None))
-                if i is None:
-                    return table, RefineStats(config.budget, accepted, initial, best)
+    score, candidates = _climb_view(walsh, signs, hadamard, per_row)
+    quiet, tested = 0, False  # entries scanned since the last accept
+    for i, j in _swap_schedule(c, d, e, f, config.budget):
+        while len(i):
             scores = score(i, j)
             hits = np.flatnonzero(scores > best)
-            if hits.size:
+            if not hits.size:
+                quiet += len(i)
                 break
-            quiet += len(i)
-            i, j = i[:0], j[:0]
-        k = int(hits[0])
-        p, q = int(i[k]), int(j[k])
-        walsh += (signs[:, q] - signs[:, p])[:, None] * (hadamard[p] - hadamard[q])
-        table[p], table[q] = table[q], table[p]
-        signs[:, [p, q]] = signs[:, [q, p]]
-        best = int(scores[k])
-        accepted += 1
-        i, j = i[k + 1:], j[k + 1:]
+            k = int(hits[0])
+            p, q = int(i[k]), int(j[k])
+            walsh += (signs[:, q] - signs[:, p])[:, None] * (hadamard[p] - hadamard[q])
+            table[p], table[q] = table[q], table[p]
+            signs[:, [p, q]] = signs[:, [q, p]]
+            best = int(scores[k])
+            accepted += 1
+            score, candidates = _climb_view(walsh, signs, hadamard, per_row)
+            quiet, tested = 0, False
+            i, j = i[k + 1:], j[k + 1:]
+        if not tested and quiet >= _STOP_AFTER:
+            # once per table: if no swap at all can gain, every entry left
+            # is a rejection and the climb is over
+            tested = True
+            p, q = candidates()
+            if not any((score(p[k:k + _BLOCK], q[k:k + _BLOCK]) > best).any()
+                       for k in range(0, len(p), _BLOCK)):
+                break
+    return table, RefineStats(config.budget, accepted, initial, best)
 
 
 def generate(key: KeySpec, config: RefineConfig = RefineConfig(),

@@ -6,8 +6,6 @@ lines; the assertions are identical either way.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -15,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from checkout_env import checkout_env
+from checkout_env import run_cli, strip_timestamp
 from sboxkit import (
     BranchMode,
     KeySpec,
@@ -211,17 +209,6 @@ def test_criterion_7_keyspace():
     _ok(f"criterion 7 (key space): {bits:.1f} bits >= 270, 8e81-vs-6e81 delta printed")
 
 
-def _run_cli(*args, cwd):
-    return subprocess.run([sys.executable, "-m", "sboxkit", *map(str, args)],
-                          capture_output=True, text=True, cwd=cwd, env=checkout_env())
-
-
-def _without_timestamp(text: str) -> dict:
-    payload = json.loads(text)
-    payload["manifest"].pop("timestamp")
-    return payload
-
-
 def test_criterion_8_determinism_and_round_trip(tmp_path):
     key_flags = ["--x0", "0.442637767848956", "--a", "1.0", "--b", "7317130",
                  "--c", "731713", "--d", "167527",
@@ -231,24 +218,24 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     bif = tmp_path / "bif.csv"
 
     runs = {
-        "generate": lambda: _run_cli("generate", *key_flags, "--budget", "64",
-                                     "--out", out, "--report", rep, cwd=tmp_path),
-        "analyze": lambda: _run_cli("analyze", out, "--json", cwd=tmp_path),
-        "compare": lambda: _run_cli("compare", "aes", "paper-proposed", cwd=tmp_path),
-        "bifurcate": lambda: _run_cli("bifurcate", "--map", "logistic",
-                                      "--param-lo", "2.5", "--param-hi", "3.5",
-                                      "--steps", "20", "--transient", "200",
-                                      "--samples", "20", "--out", bif, cwd=tmp_path),
-        "lyapunov": lambda: _run_cli("lyapunov", "--map", "ahyb", "--param", "1.5",
-                                     "--n", "5000", "--transient", "200", cwd=tmp_path),
+        "generate": lambda: run_cli("generate", *key_flags, "--budget", "64",
+                                    "--out", out, "--report", rep, cwd=tmp_path),
+        "analyze": lambda: run_cli("analyze", out, "--json", cwd=tmp_path),
+        "compare": lambda: run_cli("compare", "aes", "paper-proposed", cwd=tmp_path),
+        "bifurcate": lambda: run_cli("bifurcate", "--map", "logistic",
+                                     "--param-lo", "2.5", "--param-hi", "3.5",
+                                     "--steps", "20", "--transient", "200",
+                                     "--samples", "20", "--out", bif, cwd=tmp_path),
+        "lyapunov": lambda: run_cli("lyapunov", "--map", "ahyb", "--param", "1.5",
+                                    "--n", "5000", "--transient", "200", cwd=tmp_path),
     }
 
     def snapshot(name, res):
         assert res.returncode == 0, (name, res.stderr)
         if name == "generate":
-            return (out.read_bytes(), _without_timestamp(rep.read_text()), res.stdout)
+            return (out.read_bytes(), strip_timestamp(rep.read_text()), res.stdout)
         if name == "analyze":
-            return (_without_timestamp(res.stdout),)
+            return (strip_timestamp(res.stdout),)
         if name == "bifurcate":
             return (bif.read_bytes(),)
         if name == "lyapunov":
@@ -261,7 +248,7 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
         assert first[name] == second[name], f"{name} not deterministic"
 
     # generate -> analyze round trip: the embedded report is reproduced
-    analyzed = _run_cli("analyze", out, "--json", cwd=tmp_path)
+    analyzed = run_cli("analyze", out, "--json", cwd=tmp_path)
     embedded = json.loads(rep.read_text())["report"]
     recomputed = json.loads(analyzed.stdout)["report"]
     assert json.dumps(embedded) == json.dumps(recomputed)

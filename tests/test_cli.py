@@ -1,34 +1,20 @@
 import csv
 import io
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from checkout_env import checkout_env
+from checkout_env import run_cli, strip_timestamp
 from sboxkit import cli
-from sboxkit import (BoxFormat, BranchMode, MapKind, MapParams, NLMode, RefineConfig,
-                     get_entry, iterate, lyapunov, save_sbox)
+from sboxkit import (BoxFormat, BranchMode, GenerationStall, MapKind, MapParams, NLMode,
+                     NotBijective, ParseError, RefineConfig, get_entry, iterate, lyapunov,
+                     save_sbox)
 from sboxkit.reporting import format_real
 
 KEY_FLAGS = ["--x0", "0.442637767848956", "--a", "1.0", "--b", "7317130",
              "--c", "731713", "--d", "167527",
              "--e", "0.442637767848956", "--f", "0.372463939884994"]
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "sboxkit", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd, env=checkout_env(),
-    )
-
-
-def strip_timestamp(report_text: str) -> dict:
-    payload = json.loads(report_text)
-    payload["manifest"].pop("timestamp")
-    return payload
 
 
 @pytest.fixture
@@ -234,6 +220,19 @@ def test_analyze_non_bijective_exit_codes(tmp_path):
     assert res.returncode == 0
     assert json.loads(res.stdout)["report"]["bijective"] is False
     assert res.stderr.count("NonBijectiveWarning") == 1
+
+
+@pytest.mark.parametrize("exc, code", [
+    (NotBijective("duplicate entries"), 2), (GenerationStall("orbit is degenerate"), 3),
+    (ParseError("bad grid"), 1), (OverflowError("too large"), 1), (OSError("no disk"), 1),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, tmp_path, exc, code):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate", fail)
+    assert cli.main(["generate", *KEY_FLAGS, "--out", str(tmp_path / "x.sbox")]) == code
+    assert capsys.readouterr().err == f"sboxkit: error: {exc}\n"
 
 
 def test_analyze_human_and_markdown(aes_grid):

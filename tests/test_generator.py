@@ -372,6 +372,49 @@ def test_refine_scores_cells_below_the_peak(monkeypatch, objective):
     assert stats.accepted == 0 and stats.objective_final == stats.objective_initial
 
 
+# Two swaps of the table filled from (0.7, 1.3, 55_555_555) per objective,
+# found by search: the first raises the objective, and the second raises it
+# again on the table the first leaves.
+TWO_GAINS = {
+    Objective.SUM_COORDINATE_NL: ((0, 1), (0, 10)),
+    Objective.MIN_COORDINATE_NL: ((2, 4), (5, 9)),
+    Objective.FULL_SPECTRUM_NL: ((28, 33), (34, 122)),
+}
+
+
+@pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+@pytest.mark.parametrize("between, stop_tests", [(0, 0), (gen._STOP_AFTER, 1)],
+                         ids=["across-a-block-edge", "stop-test-at-a-block-end"])
+def test_refine_hand_built_schedule_matches_reference(monkeypatch, objective, between,
+                                                      stop_tests):
+    # i == j entries, then the first gain as the last entry of block 0; then
+    # `between` i == j entries, so the second gain is the first entry of a
+    # block: block 1, or the block after the 2,048th quiet entry ends block
+    # 8, where the stop test must see that a gain is left.  Repeats of the
+    # second gain swap it back, so they are rejections.
+    first, second = TWO_GAINS[objective]
+    pairs = ([(k, k) for k in range(_BLOCK - 1)] + [first]
+             + [(k % 256, k % 256) for k in range(between)] + [second] * _BLOCK)
+    i, j = np.array(pairs, np.uint8).T
+    blocks = [(i[k:k + _BLOCK], j[k:k + _BLOCK]) for k in range(0, len(pairs), _BLOCK)]
+    monkeypatch.setattr(gen, "_swap_schedule", lambda *key: iter(blocks))
+    monkeypatch.setattr(oracles, "swap_schedule_reference", lambda *key: pairs)
+    tests, view = [], gen._climb_view
+
+    def counted_view(*args):
+        score, candidates = view(*args)
+        return score, lambda: tests.append(None) or candidates()
+
+    monkeypatch.setattr(gen, "_climb_view", counted_view)
+    box = initial_sbox(0.7, 1.3, 55_555_555)
+    config = RefineConfig(budget=len(pairs), objective=objective)
+    out, stats = refine_sbox(box, 11, 13, 0.4, 0.6, config)
+    ref, ref_stats = oracles.refine_reference(box, 11, 13, 0.4, 0.6, config)
+    assert out.tolist() == ref.tolist()
+    assert stats == ref_stats
+    assert stats.accepted == 2 and len(tests) == stop_tests
+
+
 @settings(max_examples=100, deadline=None)
 @given(c=st.integers(1, 10**9 - 1), d=st.integers(1, 10**9 - 1),
        e=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
