@@ -27,7 +27,7 @@ from .errors import (
     SBoxKitError,
 )
 from .generator import KEY_RANGES, KeySpec, Objective, RefineConfig, generate
-from .maps import BranchMode, MapKind, MapParams, bifurcation_scan, lyapunov
+from .maps import BranchMode, MapKind, MapParams, bifurcation_scan, check_param, lyapunov
 from .metrics import NLMode, full_report
 from .reporting import (
     comparison_csv,
@@ -165,6 +165,8 @@ def _cmd_lyapunov(args) -> int:
     # One `lyapunov` call per value rather than `maps.lyapunov_sweep`: the
     # benchmark's traced mode (perfbench/spans.py) times Lyapunov work by
     # wrapping `cli.lyapunov`.  See ROADMAP item 1.
+    check_param(kind, args.param_lo)  # before linspace turns an infinite endpoint into NaN
+    check_param(kind, args.param_hi)
     values = np.linspace(args.param_lo, args.param_hi, args.steps)
     exponents = [lyapunov(MapParams(kind, float(p), branch_mode),
                           args.x0, args.transient, args.n) for p in values]

@@ -53,7 +53,12 @@ amplified by the chaotic orbit, so the AHYB middle branch (``x**0.9`` and
 its derivative ``0.9 * x**-0.1``) is computed with Python floats on just the
 elements in [1.5, 3), and Lyapunov terms with ``math.log``.  Each sweep
 estimate adds its log terms strictly in step order, as the scalar loop does.
-Lockstep never raises or warns itself: a sweep narrower than
+Both sweeps run on one driver, ``_lockstep``: it steps the orbits through
+the transient, hands the states that follow to the sweep in chunks of at
+most ``_CHUNK_CELLS`` cells (the scan writes them into its output, the
+Lyapunov sweep turns them into log terms), takes exactly the steps the
+scalar loops take, and alone decides whether lockstep may stand in for
+them.  Lockstep never raises or warns itself: a sweep narrower than
 ``_LOCKSTEP_MIN_WIDTH``, or one in which any orbit would warn or fail, is
 run as one scalar call per parameter instead, which warns and raises as the
 scalar code does.
@@ -111,8 +116,8 @@ PARAM_RANGES = {
 }
 
 
-# Cells (time steps x parameters) of a Lyapunov sweep's derivative buffer;
-# bounds the sweep's memory whatever n is.
+# Cells (time steps x parameters) of the lockstep state buffer; bounds a
+# sweep's scratch memory whatever its length.
 _CHUNK_CELLS = 1 << 16
 
 # Narrowest sweep that is stepped in lockstep.  Each lockstep step costs a
@@ -399,21 +404,37 @@ class _Orbits:
         return np.abs(d)
 
 
-def _scan_lockstep(kind, values, x0, transient, samples, branch_mode):
-    """The (samples, len(values)) states of a scan, or None if any orbit warns or fails."""
-    orbits = _Orbits(kind, values, x0, branch_mode)
-    states = np.empty((samples, len(values)), dtype=np.float64)
+def _lockstep(orbits: _Orbits, transient: int, n: int, consume) -> bool:
+    """Take `transient` steps of `orbits`, then `n` more in chunks; the one lockstep driver.
+
+    Each chunk of c steps goes to ``consume(start, states)`` as its c + 1
+    states: row r is the state at time ``transient + start + r``, so a chunk
+    begins with the row that ended the one before.  A chunk has at most
+    `_CHUNK_CELLS` cells (and two rows at least).  `consume` runs with
+    numpy's float warnings off and returns whether to go on.  Exactly
+    ``transient + n`` steps are taken, as in the scalar loops.
+
+    Returns whether the lockstep results stand in for the scalar loops:
+    False at once if the first step leaves a state non-finite (a scalar
+    orbit raises there) or `consume` returns False, and False at the end if
+    an orbit reseeded (a scalar orbit warns) or a final state is not finite.
+    """
+    states = np.empty((max(2, _CHUNK_CELLS // len(orbits.x)), len(orbits.x)))
     with np.errstate(all="ignore"):
         for _ in range(transient):
             if not orbits.step():
-                return None
-        for row in states:
-            if not orbits.step():
-                return None
-            row[:] = orbits.x
-    if orbits.reseeded or not np.isfinite(orbits.x).all():
-        return None
-    return states
+                return False
+        states[0] = orbits.x
+        for start in range(0, n, len(states) - 1):
+            chunk = states[:n - start + 1]
+            for row in chunk[1:]:
+                if not orbits.step():
+                    return False
+                row[:] = orbits.x
+            if not consume(start, chunk):
+                return False
+            states[0] = chunk[-1]
+    return not orbits.reseeded and bool(np.isfinite(orbits.x).all())
 
 
 def bifurcation_scan(
@@ -450,15 +471,16 @@ def bifurcation_scan(
     values = np.linspace(param_lo, param_hi, steps)
     out = np.empty((steps * samples, 2), dtype=np.float64)
     out[:, 0] = np.repeat(values, samples)
-    states = None
-    if steps >= _LOCKSTEP_MIN_WIDTH[kind]:
-        states = _scan_lockstep(kind, values, x0, transient, samples, branch_mode)
-    if states is None:
+    by_param = out[:, 1].reshape(steps, samples)  # a view: the states land in `out`
+
+    def write(start, states):
+        by_param[:, start:start + len(states) - 1] = states[1:].T
+        return True
+
+    if (steps < _LOCKSTEP_MIN_WIDTH[kind] or not _lockstep(
+            _Orbits(kind, values, x0, branch_mode), transient, samples, write)):
         for k, p in enumerate(values):
-            params = MapParams(kind, float(p), branch_mode)
-            out[k * samples : (k + 1) * samples, 1] = iterate(params, x0, transient, samples)
-    else:
-        out[:, 1] = states.T.reshape(-1)
+            by_param[k] = iterate(MapParams(kind, float(p), branch_mode), x0, transient, samples)
     return out
 
 
@@ -504,34 +526,6 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
     return total / (n - skipped)
 
 
-def _lyapunov_lockstep(kind, values, x0, transient, n, branch_mode):
-    """The estimates of a sweep, or None if any orbit warns or fails."""
-    orbits = _Orbits(kind, values, x0, branch_mode)
-    total = np.zeros(len(values))
-    states = np.empty((max(1, _CHUNK_CELLS // len(values)), len(values)))
-    with np.errstate(all="ignore"):
-        for _ in range(transient):
-            if not orbits.step():
-                return None
-        for start in range(0, n, len(states)):
-            chunk = states[:n - start]
-            for row in chunk:
-                row[:] = orbits.x
-                if not orbits.step():
-                    return None
-            d = orbits.abs_derivative(chunk)
-            if (d < DERIVATIVE_FLOOR).any():  # the scalar loop warns or raises
-                return None
-            logs = np.fromiter(map(math.log, d.ravel().tolist()), np.float64, d.size)
-            logs = logs.reshape(d.shape)
-            logs[0] += total
-            total = np.add.accumulate(logs, axis=0)[-1]
-    # A non-finite derivative can leave the state finite but not the sum.
-    if orbits.reseeded or not (np.isfinite(orbits.x).all() and np.isfinite(total).all()):
-        return None
-    return total / n
-
-
 def lyapunov_sweep(
     kind: MapKind,
     values,
@@ -563,8 +557,21 @@ def lyapunov_sweep(
     values = array.astype(np.float64)
     if (len(values) >= _LOCKSTEP_MIN_WIDTH[kind] and n >= 1
             and ((values > lo) & ((values <= hi) if hi_closed else (values < hi))).all()):
-        estimates = _lyapunov_lockstep(kind, values, x0, transient, n, branch_mode)
-        if estimates is not None:
-            return estimates
+        orbits = _Orbits(kind, values, x0, branch_mode)
+        total = np.zeros(len(values))
+
+        def add_logs(start, states):
+            d = orbits.abs_derivative(states[:-1])
+            if (d < DERIVATIVE_FLOOR).any():  # the scalar loop warns or raises
+                return False
+            logs = np.fromiter(map(math.log, d.ravel().tolist()), np.float64, d.size)
+            logs = logs.reshape(d.shape)
+            logs[0] += total
+            total[:] = np.add.accumulate(logs, axis=0)[-1]
+            return True
+
+        # A non-finite derivative can leave the state finite but not the sum.
+        if _lockstep(orbits, transient, n, add_logs) and np.isfinite(total).all():
+            return total / n
     return np.array([lyapunov(MapParams(kind, float(p), branch_mode), x0, transient, n)
                      for p in values], dtype=np.float64)

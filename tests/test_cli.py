@@ -394,6 +394,18 @@ def test_lyapunov_zero_steps_prints_header_only():
     assert res.stdout == "param,le\n"
 
 
+def test_lyapunov_rejects_an_out_of_range_endpoint_before_the_sweep(tmp_path):
+    # an infinite endpoint is rejected as such, not after linspace turned it into NaN
+    out = tmp_path / "le.csv"
+    res = run_cli("lyapunov", "--map", "logistic", "--param-lo", "inf", "--param-hi", "4",
+                  "--steps", "3", "--out", out)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == ("sboxkit: error: logistic control parameter must lie in (0, 4], "
+                          "got inf\n")
+    assert not out.exists()
+
+
 def test_bifurcate_zero_samples_writes_header_only(tmp_path):
     out = tmp_path / "bif.csv"
     res = run_cli("bifurcate", "--map", "sine", "--param-lo", "1", "--param-hi", "2",

@@ -312,34 +312,52 @@ def sweep_cases(draw):
     return kind, draw(st.sampled_from(list(BranchMode))), lo, hi, steps, x0
 
 
+# The lockstep buffer's size in cells: the real one, or one small enough that
+# a chunk holds one to a few steps and the last chunk is short.
+chunk_cells = st.one_of(st.just(maps._CHUNK_CELLS), st.integers(1, 200))
+
+
 @settings(max_examples=80, deadline=None)
-@given(case=sweep_cases(), transient=st.integers(0, 40), samples=st.integers(0, 40))
-def test_bifurcation_scan_matches_single_orbits(case, transient, samples):
+@given(case=sweep_cases(), transient=st.integers(0, 40), samples=st.integers(0, 40),
+       cells=chunk_cells)
+def test_bifurcation_scan_matches_single_orbits(case, transient, samples, cells):
     kind, mode, lo, hi, steps, x0 = case
-    got = outcome(lambda: bifurcation_scan(kind, lo, hi, steps, x0, transient, samples, mode))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_CHUNK_CELLS", cells)
+        got = outcome(lambda: bifurcation_scan(kind, lo, hi, steps, x0, transient, samples,
+                                               mode))
     want = outcome(lambda: oracles.bifurcation_reference(
         kind, lo, hi, steps, x0, transient, samples, mode))
     assert got == want
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=sweep_cases(), transient=st.integers(0, 40), n=st.integers(1, 300))
-def test_lyapunov_sweep_matches_single_orbits(case, transient, n):
+@given(case=sweep_cases(), transient=st.integers(0, 40), n=st.integers(1, 300),
+       cells=chunk_cells)
+def test_lyapunov_sweep_matches_single_orbits(case, transient, n, cells):
     kind, mode, lo, hi, steps, x0 = case
     values = np.linspace(lo, hi, steps)
-    got = outcome(lambda: lyapunov_sweep(kind, values, x0, transient, n, mode))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_CHUNK_CELLS", cells)
+        got = outcome(lambda: lyapunov_sweep(kind, values, x0, transient, n, mode))
     want = outcome(lambda: oracles.lyapunov_sweep_reference(
         kind, values, x0, transient, n, mode))
     assert got == want
 
 
 def test_lyapunov_sweep_spans_derivative_chunks():
-    # WIDE parameters x 10,000 samples fill several derivative buffers
+    # WIDE parameters x 10,000 samples fill several chunks of the lockstep
+    # buffer, for the Lyapunov sweep and for the scan alike
     values = np.linspace(3.5, 4.0, WIDE)
     got = lyapunov_sweep(MapKind.LOGISTIC, values, 0.3, 100, 10_000)
     want = oracles.lyapunov_sweep_reference(MapKind.LOGISTIC, values, 0.3, 100, 10_000,
                                             BranchMode.EQUATION1)
     assert got.tobytes() == want.tobytes()
+    assert 10_000 * WIDE > 3 * maps._CHUNK_CELLS
+    scan = bifurcation_scan(MapKind.LOGISTIC, 3.5, 4.0, WIDE, 0.3, 100, 10_000)
+    want = oracles.bifurcation_reference(MapKind.LOGISTIC, 3.5, 4.0, WIDE, 0.3, 100, 10_000,
+                                         BranchMode.EQUATION1)
+    assert scan.tobytes() == want.tobytes()
 
 
 def test_lyapunov_sweep_single_sample_is_libm_log():
@@ -508,6 +526,17 @@ def test_sweep_reseed_warnings_match_single_orbits():
         sweep = outcome(lambda: lyapunov_sweep(MapKind.AHYB, values, 4.0 / 3.0, 0, 50, mode))
         assert sweep == outcome(lambda: oracles.lyapunov_sweep_reference(
             MapKind.AHYB, values, 4.0 / 3.0, 0, 50, mode))
+
+
+def test_scan_of_no_samples_takes_no_step(monkeypatch):
+    # From 4/3 at A = 1 the first step would reseed, but a scan of no samples
+    # and no transient takes no step, so no orbit warns and lockstep stands in.
+    want = outcome(lambda: oracles.bifurcation_reference(
+        MapKind.AHYB, 1.0, 1.4, WIDE, 4.0 / 3.0, 0, 0, BranchMode.EQUATION1))
+    monkeypatch.setattr(maps, "iterate", lambda *args: pytest.fail("scalar fallback taken"))
+    got = outcome(lambda: bifurcation_scan(MapKind.AHYB, 1.0, 1.4, WIDE, 4.0 / 3.0, 0, 0))
+    assert got == want
+    assert got == (("ok", (0, 2), b""), [])
 
 
 def test_wide_clean_sweeps_step_in_lockstep(monkeypatch):
