@@ -27,7 +27,7 @@ from .errors import (
     SBoxKitError,
 )
 from .generator import KEY_RANGES, KeySpec, Objective, RefineConfig, generate
-from .maps import BranchMode, MapKind, MapParams, bifurcation_scan, check_param, lyapunov
+from .maps import BranchMode, MapKind, MapParams, _param_grid, bifurcation_scan, lyapunov
 from .metrics import NLMode, full_report
 from .reporting import (
     comparison_csv,
@@ -165,9 +165,7 @@ def _cmd_lyapunov(args) -> int:
     # One `lyapunov` call per value rather than `maps.lyapunov_sweep`: the
     # benchmark's traced mode (perfbench/spans.py) times Lyapunov work by
     # wrapping `cli.lyapunov`.  See ROADMAP item 1.
-    check_param(kind, args.param_lo)  # before linspace turns an infinite endpoint into NaN
-    check_param(kind, args.param_hi)
-    values = np.linspace(args.param_lo, args.param_hi, args.steps)
+    values = _param_grid(kind, args.param_lo, args.param_hi, args.steps, 0)
     exponents = [lyapunov(MapParams(kind, float(p), branch_mode),
                           args.x0, args.transient, args.n) for p in values]
     write_param_csv(args.out, "le", np.column_stack((values, exponents)))

@@ -199,7 +199,7 @@ def initial_sbox(x0: float, a: float, b: int,
     """
     _check_key_field("x0", x0)
     _check_key_field("b", b)
-    step, _ = _kernel(MapParams(MapKind.AHYB, a, branch_mode))  # validates a
+    step = _kernel(MapParams(MapKind.AHYB, a, branch_mode))  # validates a
 
     table = np.empty(256, dtype=np.uint8)
     seen = bytearray(256)

@@ -30,29 +30,37 @@ outputs on one platform.
 ``map_step``, ``map_derivative`` and ``renormalize`` are the definitions.
 Single orbits (``iterate``, ``lyapunov`` and the generator's fill) are
 scalar Python loops over one kernel, ``_kernel(params)``, which resolves the
-map kind, the branch mode and the constants ``2 + A`` and ``A * pi`` once
-per orbit and returns a step closure (the raw map, then for AHYB the round15
-fold and the reseed) and a derivative closure.  They perform the same IEEE
-operations in the same order as the definitions, with libm ``pow``, ``log``,
-``sin`` and ``cos``, and raise and warn as they do; the starting state is
-checked once, since a step never returns a non-finite state.  That removes
-about six Python calls per step: a Lyapunov step went from about 2.1 to 1.0
-us (AHYB) and from about 1.8 and 1.5 to 0.6 us (logistic, sine) on a 2-core
-x86-64 machine (Python 3.11, numpy 2.4).
+map kind, the branch mode and the constant ``2 + A`` once per orbit and
+returns a step closure (the raw map, then for AHYB the round15 fold and the
+reseed).  It performs the same IEEE operations in the same order as the
+definitions, with libm ``pow`` and ``sin``, and raises and warns as they
+do.  The starting state is checked once, by the definitions that the loop
+calls first; after that only a diverging logistic orbit can leave the
+float range, so only the logistic step tests its value.  ``lyapunov`` steps
+its orbit with the kernel in chunks of at most ``_CHUNK_CELLS`` states, then
+takes the derivatives at a chunk's states in bulk with the sweeps' numpy
+code and adds their logs in step order, as a loop of ``map_derivative``
+calls would.  On a 2-core AVX-512 x86-64 machine (Python 3.11, numpy 2.4;
+in process, best of 5, one BLAS thread) a Lyapunov step of the benchmark's
+50-point sweeps (n = 10000, transient 1000) costs about 0.43-0.47 us (AHYB),
+0.24-0.26 us (logistic) and 0.26-0.29 us (sine), against 0.51-0.54, 0.27
+and 0.33-0.34 us with a scalar derivative closure per step.
 
 Sweeps over the control parameter (``bifurcation_scan``,
 ``lyapunov_sweep``) advance every parameter's orbit in lockstep as one
 float64 array per time step, and give the same bits as a loop of single
 orbits.  That holds because each array operation performs the same IEEE
 operation on every element as the scalar code: ``*``, ``+``, ``-``, ``abs``,
-``floor``, ``% 1.0``, and numpy's ``sin``/``cos``, which agree with libm on
-every input tried (millions, up to |x| ~ 1e300).  Two functions do not:
-numpy's float64 ``power`` differs from libm ``pow`` on about 5% of inputs in
-[1.5, 3), and ``np.log`` from libm ``log`` on about 0.1%.  A one-ulp gap is
-amplified by the chaotic orbit, so the AHYB middle branch (``x**0.9`` and
-its derivative ``0.9 * x**-0.1``) is computed with Python floats on just the
-elements in [1.5, 3), and Lyapunov terms with ``math.log``.  Each sweep
-estimate adds its log terms strictly in step order, as the scalar loop does.
+``floor``, ``% 1.0``, numpy's ``sin``/``cos``, which agree with libm on
+every input tried (millions, up to |x| ~ 1e300), and ``float_power``, which
+calls libm ``pow`` (it matched Python's ``pow`` on a million draws each for
+the exponents 0.9 and -0.1 on [1.5, 3), and for 0.9 on [0, 4)).  Two
+functions do not: numpy's float64 ``power`` is vectorised and differs from
+libm ``pow`` on about 5% of inputs in [1.5, 3), and ``np.log`` from libm
+``log`` on about 0.1%.  A one-ulp gap is amplified by the chaotic orbit, so
+the AHYB middle branch (``x**0.9`` and its derivative ``0.9 * x**-0.1``)
+uses ``float_power``, and Lyapunov terms ``math.log``.  Each estimate adds
+its log terms strictly in step order, as the scalar loop does.
 Both sweeps run on one driver, ``_lockstep``: it steps the orbits through
 the transient, hands the states that follow to the sweep in chunks of at
 most ``_CHUNK_CELLS`` cells (the scan writes them into its output, the
@@ -61,11 +69,11 @@ scalar loops take, and alone decides whether lockstep may stand in for
 them.  Lockstep never raises or warns itself: a sweep narrower than
 ``_LOCKSTEP_MIN_WIDTH``, or one in which any orbit would warn or fail, is
 run as one scalar call per parameter instead, which warns and raises as the
-scalar code does.
+scalar code does.  Both sweep commands of the CLI build their parameter
+grid with ``_param_grid``.
 """
 
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -116,8 +124,9 @@ PARAM_RANGES = {
 }
 
 
-# Cells (time steps x parameters) of the lockstep state buffer; bounds a
-# sweep's scratch memory whatever its length.
+# Cells (time steps x parameters) of the lockstep state buffer, and states
+# of a single Lyapunov orbit whose derivatives are taken at once; bounds the
+# scratch memory of a sweep or an estimate whatever its length.
 _CHUNK_CELLS = 1 << 16
 
 # Narrowest sweep that is stepped in lockstep.  Each lockstep step costs a
@@ -222,24 +231,22 @@ def map_derivative(params: MapParams, x: float) -> float:
 
 
 def _kernel(params: MapParams):
-    """The orbit step and derivative of `params`, as closures `(step, deriv)`.
+    """The orbit step of `params`, as a closure: ``map_step``, then for AHYB the fold.
 
-    The map kind, branch mode and the constants ``2 + A`` and ``A * pi`` are
-    resolved here, once per orbit.  ``step(x)`` is ``map_step`` followed, for
-    AHYB, by ``renormalize`` and the reseed of a folded 0 to ``RESEED``;
-    ``deriv(x)`` is ``map_derivative``.  Both perform the same float
-    operations in the same order as those functions, and raise and warn as
-    they do: on a non-finite value they call the definition, which recomputes
-    it and raises its own message.  They do not test their argument: the
-    caller checks the starting state once, by calling on it the definition
-    that its loop calls first.  Every later state is finite, because
-    ``step`` raises rather than return a non-finite value, and a sine state
-    is at most the parameter in magnitude, so ``pi * x`` cannot overflow
-    after the start.
+    The map kind, branch mode and the constant ``2 + A`` are resolved here,
+    once per orbit.  ``step(x)`` is ``map_step`` followed, for AHYB, by
+    ``renormalize`` and the reseed of a folded 0 to ``RESEED``; it performs
+    the same float operations in the same order, and raises and warns as
+    those functions do.  It does not test its argument: the caller checks
+    the starting state once, by calling on it the definitions that its loop
+    calls first.  After that check no AHYB or sine step can be non-finite (an
+    AHYB state is folded into [0, 4), and a sine state is at most the
+    parameter in magnitude), so only the logistic step, whose orbit diverges
+    from a start outside [0, 1], tests its value: on a non-finite one it
+    calls ``map_step``, which recomputes it and raises its own message.
     The reseed warning names the caller of the function that runs the loop.
     """
     a = params.control
-    isfinite = math.isfinite
 
     if params.kind is MapKind.AHYB:
         two_plus_a = 2.0 + a
@@ -255,8 +262,6 @@ def _kernel(params: MapParams):
                 y = a - x
             else:
                 y = x * (a - x)
-            if not isfinite(y):
-                map_step(params, x)  # recomputes y and raises
             # renormalize(y); round15 is odd, so |round15(y)| is floor(|y| * 1e15 + 0.5) / 1e15
             x = 4.0 * (floor(abs(y) * 1e15 + 0.5) / 1e15 % 1.0)
             if x == 0.0:
@@ -268,20 +273,8 @@ def _kernel(params: MapParams):
                 x = RESEED
             return x
 
-        def deriv(x):
-            if x < 1.5:
-                d = two_plus_a
-            elif x < 3.0:
-                d = 0.9 * x**-0.1
-            elif alg1:
-                d = -1.0
-            else:
-                d = a - 2.0 * x
-            if not isfinite(d):
-                map_derivative(params, x)  # recomputes d and raises
-            return d
-
     elif params.kind is MapKind.LOGISTIC:
+        isfinite = math.isfinite
 
         def step(x):
             y = a * x * (1.0 - x)
@@ -289,28 +282,13 @@ def _kernel(params: MapParams):
                 map_step(params, x)  # recomputes y and raises
             return y
 
-        def deriv(x):
-            d = a * (1.0 - 2.0 * x)
-            if not isfinite(d):
-                map_derivative(params, x)  # recomputes d and raises
-            return d
-
     else:
-        a_pi, pi, sin, cos = a * math.pi, math.pi, math.sin, math.cos
+        pi, sin = math.pi, math.sin
 
         def step(x):
-            y = a * sin(pi * x)
-            if not isfinite(y):
-                map_step(params, x)  # recomputes y and raises
-            return y
+            return a * sin(pi * x)
 
-        def deriv(x):
-            d = a_pi * cos(pi * x)
-            if not isfinite(d):
-                map_derivative(params, x)  # recomputes d and raises
-            return d
-
-    return step, deriv
+    return step
 
 
 def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> np.ndarray:
@@ -324,7 +302,7 @@ def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> 
     if (check_number("transient", transient, integer=True) < 0
             or check_number("n", n, integer=True) < 0):
         raise ValueError("transient and n must be non-negative")
-    step, _ = _kernel(params)
+    step = _kernel(params)
     x = float(x0)
     if transient or n:  # an orbit of no steps never looks at x0
         map_step(params, x)  # the start check
@@ -337,16 +315,11 @@ def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> 
     return out
 
 
-def _libm_pow(x: np.ndarray, exponent: float) -> np.ndarray:
-    """x ** exponent elementwise through libm pow, as the scalar code computes it."""
-    return np.fromiter(map(pow, x.tolist(), itertools.repeat(exponent)), np.float64, x.size)
-
-
 class _Orbits:
     """Orbits of one map at many control values, advanced in lockstep.
 
     Element k performs exactly the float operations of the scalar orbit step
-    (and of `map_derivative`) at control value a[k]; see the module docstring.
+    at control value a[k]; see the module docstring.
     Nothing is raised or warned here.  A non-finite value stays non-finite
     in every later state (NaN or inf in, NaN or inf out), so a non-finite
     final state marks an orbit that the scalar code would have stopped, and
@@ -360,7 +333,6 @@ class _Orbits:
         self.a = a
         self.alg1 = branch_mode is BranchMode.ALGORITHM1
         self.two_plus_a = 2.0 + a
-        self.a_pi = a * math.pi
         self.x = np.full(a.shape, float(x0))
         self.reseeded = False
         self.started = False
@@ -375,7 +347,7 @@ class _Orbits:
             low = x < 1.5
             y = np.where(low, self.two_plus_a * x, a - x if self.alg1 else x * (a - x))
             mid = (~low & (x < 3.0)).nonzero()[0]
-            y[mid] = a[mid] + _libm_pow(x[mid], 0.9)
+            y[mid] = a[mid] + np.float_power(x[mid], 0.9)
             # round15 is odd, so |round15(y)| is floor(|y| * 1e15 + 0.5) / 1e15.
             x = 4.0 * (np.floor(np.abs(y) * 1e15 + 0.5) / 1e15 % 1.0)
             if np.count_nonzero(x) < x.size:
@@ -389,18 +361,26 @@ class _Orbits:
         started, self.started = self.started, True
         return started or bool(np.isfinite(x).all())
 
-    def abs_derivative(self, states: np.ndarray) -> np.ndarray:
-        """|map_derivative| at `states`, an array whose rows are states of all orbits."""
-        a = self.a
-        if self.kind is MapKind.AHYB:
+
+def _abs_derivative(kind: MapKind, a, branch_mode: BranchMode, states: np.ndarray) -> np.ndarray:
+    """|map_derivative| at every element of `states`, in bulk.
+
+    `a` is the control value: a float, or an array with one value per
+    column of `states`.  Each element takes the float operations of
+    `map_derivative` (see the module docstring); a value that overflows is
+    returned as it is, and nothing is raised or warned.
+    """
+    with np.errstate(all="ignore"):
+        if kind is MapKind.AHYB:
             low = states < 1.5
-            d = np.where(low, self.two_plus_a, -1.0 if self.alg1 else a - 2.0 * states)
+            d = np.where(low, 2.0 + a,
+                         -1.0 if branch_mode is BranchMode.ALGORITHM1 else a - 2.0 * states)
             mid = ~low & (states < 3.0)
-            d[mid] = 0.9 * _libm_pow(states[mid], -0.1)
-        elif self.kind is MapKind.LOGISTIC:
+            d[mid] = 0.9 * np.float_power(states[mid], -0.1)
+        elif kind is MapKind.LOGISTIC:
             d = a * (1.0 - 2.0 * states)
         else:
-            d = self.a_pi * np.cos(np.pi * states)
+            d = a * math.pi * np.cos(np.pi * states)
         return np.abs(d)
 
 
@@ -437,6 +417,25 @@ def _lockstep(orbits: _Orbits, transient: int, n: int, consume) -> bool:
     return not orbits.reseeded and bool(np.isfinite(orbits.x).all())
 
 
+def _param_grid(kind: MapKind, param_lo: float, param_hi: float, steps: int,
+                min_steps: int) -> np.ndarray:
+    """`steps` evenly spaced control values from `param_lo` to `param_hi`.
+
+    The grid of both sweep commands.  `steps` must be an integer of at least
+    `min_steps`, and the endpoints in the map's range and in order; an
+    infinite endpoint is rejected as such, before linspace turns it into NaN.
+    """
+    if check_number("steps", steps, integer=True) < min_steps:
+        raise ValueError(f"steps must be >= {min_steps}")
+    check_param(kind, param_lo)
+    check_param(kind, param_hi)
+    if param_lo > param_hi:
+        raise ParamOutOfRange(
+            f"param_lo must not exceed param_hi, got {param_lo!r} > {param_hi!r}"
+        )
+    return np.linspace(param_lo, param_hi, steps)
+
+
 def bifurcation_scan(
     kind: MapKind,
     param_lo: float,
@@ -455,20 +454,12 @@ def bifurcation_scan(
     `iterate` called once per parameter; wide scans step every orbit in
     lockstep.
     """
-    if check_number("steps", steps, integer=True) < 1:
-        raise ValueError("steps must be >= 1")
-    check_param(kind, param_lo)
-    check_param(kind, param_hi)
+    values = _param_grid(kind, param_lo, param_hi, steps, 1)
     check_member("branch mode", branch_mode, BranchMode)
-    if param_lo > param_hi:
-        raise ParamOutOfRange(
-            f"param_lo must not exceed param_hi, got {param_lo!r} > {param_hi!r}"
-        )
     check_number("x0", x0)
     if (check_number("transient", transient, integer=True) < 0
             or check_number("samples", samples, integer=True) < 0):
         raise ValueError("transient and samples must be non-negative")
-    values = np.linspace(param_lo, param_hi, steps)
     out = np.empty((steps * samples, 2), dtype=np.float64)
     out[:, 0] = np.repeat(values, samples)
     by_param = out[:, 1].reshape(steps, samples)  # a view: the states land in `out`
@@ -498,21 +489,34 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
         raise ValueError("n must be >= 1")
     if check_number("transient", transient, integer=True) < 0:
         raise ValueError("transient must be non-negative")
-    step, deriv = _kernel(params)
+    step = _kernel(params)
     x = float(x0)
-    (map_step if transient else map_derivative)(params, x)  # the start check
+    if not transient:
+        map_derivative(params, x)
+    map_step(params, x)  # the start check: the loop's first calls
     for _ in range(transient):
         x = step(x)
-    log = math.log
+
+    # Each chunk steps the orbit with the scalar kernel, then takes the
+    # derivatives at its states in bulk and adds their logs in step order.
     total = 0.0
     skipped = 0
-    for _ in range(n):
-        d = abs(deriv(x))
-        if d < DERIVATIVE_FLOOR:
-            skipped += 1
-        else:
-            total += log(d)
-        x = step(x)
+    for start in range(0, n, _CHUNK_CELLS):
+        xs = []
+        append = xs.append
+        try:
+            for _ in range(min(_CHUNK_CELLS, n - start)):
+                append(x)
+                x = step(x)
+        finally:  # f'(x) comes before the step from x, so a non-finite one raises first
+            d = _abs_derivative(params.kind, params.control, params.branch_mode, np.array(xs))
+            if not np.isfinite(d).all():
+                map_derivative(params, xs[np.isfinite(d).argmin()])
+        low = d < DERIVATIVE_FLOOR
+        skipped += int(np.count_nonzero(low))
+        logs = np.fromiter(map(math.log, np.where(low, 1.0, d).tolist()), np.float64, len(xs))
+        logs[0] += total  # a skipped term adds log(1.0) = 0.0, which leaves the sum as it was
+        total = float(np.add.accumulate(logs)[-1])
     if skipped:
         if skipped > 0.01 * n:
             raise DerivativeZero(
@@ -561,7 +565,7 @@ def lyapunov_sweep(
         total = np.zeros(len(values))
 
         def add_logs(start, states):
-            d = orbits.abs_derivative(states[:-1])
+            d = _abs_derivative(kind, values, branch_mode, states[:-1])
             if (d < DERIVATIVE_FLOOR).any():  # the scalar loop warns or raises
                 return False
             logs = np.fromiter(map(math.log, d.ravel().tolist()), np.float64, d.size)

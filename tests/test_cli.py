@@ -406,6 +406,43 @@ def test_lyapunov_rejects_an_out_of_range_endpoint_before_the_sweep(tmp_path):
     assert not out.exists()
 
 
+# Bad grid flags, and each sweep command's error for them: both commands
+# build their grid with maps._param_grid, which takes each one's least
+# --steps (lyapunov --steps 0 writes the header alone).
+BAD_GRIDS = [
+    (["--param-lo", "4", "--param-hi", "3"],
+     {"bifurcate": "param_lo must not exceed param_hi, got 4.0 > 3.0",
+      "lyapunov": "param_lo must not exceed param_hi, got 4.0 > 3.0"}),
+    (["--param-lo", "3", "--param-hi", "inf"],
+     {"bifurcate": "logistic control parameter must lie in (0, 4], got inf",
+      "lyapunov": "logistic control parameter must lie in (0, 4], got inf"}),
+    (["--param-lo=-inf", "--param-hi", "4"],
+     {"bifurcate": "logistic control parameter must lie in (0, 4], got -inf",
+      "lyapunov": "logistic control parameter must lie in (0, 4], got -inf"}),
+    (["--param-lo", "nan", "--param-hi", "4"],
+     {"bifurcate": "logistic control parameter must lie in (0, 4], got nan",
+      "lyapunov": "logistic control parameter must lie in (0, 4], got nan"}),
+    (["--param-lo", "3", "--param-hi", "4", "--steps", "-1"],
+     {"bifurcate": "steps must be >= 1", "lyapunov": "steps must be >= 0"}),
+    (["--param-lo", "3", "--param-hi", "4", "--steps", "0"],
+     {"bifurcate": "steps must be >= 1"}),
+]
+
+
+@pytest.mark.parametrize("flags, errors", BAD_GRIDS, ids=[" ".join(f) for f, _ in BAD_GRIDS])
+def test_sweep_commands_check_one_grid(tmp_path, flags, errors):
+    for command in ("bifurcate", "lyapunov"):
+        out = tmp_path / f"{command}.csv"
+        res = run_cli(command, "--map", "logistic", *flags, "--transient", "2", "--out", out)
+        if command not in errors:
+            assert res.returncode == 0, res.stderr
+            continue
+        assert res.returncode == 1, (command, res.stderr)
+        assert res.stdout == ""
+        assert res.stderr == f"sboxkit: error: {errors[command]}\n", command
+        assert not out.exists()
+
+
 def test_bifurcate_zero_samples_writes_header_only(tmp_path):
     out = tmp_path / "bif.csv"
     res = run_cli("bifurcate", "--map", "sine", "--param-lo", "1", "--param-hi", "2",

@@ -158,7 +158,7 @@ def test_initial_sbox_stalls_on_degenerate_orbit(monkeypatch):
     # a constant orbit keeps producing the same byte; after the first
     # placement every candidate is a duplicate (the fill steps the orbit
     # with the step closure of generator._kernel)
-    monkeypatch.setattr(gen, "_kernel", lambda params: (lambda x: 1.0, None))
+    monkeypatch.setattr(gen, "_kernel", lambda params: lambda x: 1.0)
     monkeypatch.setattr(gen, "_STALL_LIMIT", 1000)
     with pytest.raises(GenerationStall):
         initial_sbox(0.7, 1.3, 55_555_555)

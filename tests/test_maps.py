@@ -587,15 +587,62 @@ def orbit_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=orbit_cases(), transient=st.integers(-2, 30), n=st.integers(-2, 300))
-@example(case=(ahyb(1.0), 4.0 / 3.0), transient=0, n=5)
-@example(case=(ahyb(1.0, BranchMode.ALGORITHM1), 4.0 / 3.0), transient=0, n=5)
-@example(case=(ahyb(0.7), 1.5), transient=0, n=3)
-@example(case=(ahyb(0.7), 3.0), transient=0, n=3)
-@example(case=(logistic(3.0), 0.5), transient=0, n=200)
-def test_orbit_kernel_matches_reference_loops(case, transient, n):
+@given(case=orbit_cases(), transient=st.integers(-2, 30), n=st.integers(-2, 300),
+       cells=chunk_cells)
+@example(case=(ahyb(1.0), 4.0 / 3.0), transient=0, n=5, cells=maps._CHUNK_CELLS)
+@example(case=(ahyb(1.0, BranchMode.ALGORITHM1), 4.0 / 3.0), transient=0, n=5,
+         cells=maps._CHUNK_CELLS)
+@example(case=(ahyb(0.7), 1.5), transient=0, n=3, cells=maps._CHUNK_CELLS)
+@example(case=(ahyb(0.7), 3.0), transient=0, n=3, cells=maps._CHUNK_CELLS)
+@example(case=(logistic(3.0), 0.5), transient=0, n=200, cells=maps._CHUNK_CELLS)
+# a skip among 200 samples warns, in one chunk or across several
+@example(case=(logistic(4.0), 0.5), transient=0, n=200, cells=maps._CHUNK_CELLS)
+@example(case=(logistic(4.0), 0.5), transient=0, n=200, cells=7)
+# the derivative at x1 overflows, and so does the step from it: the derivative
+# is taken first
+@example(case=(logistic(4.0), -2.74e153), transient=0, n=5, cells=maps._CHUNK_CELLS)
+# with a subnormal control the derivative at x1 overflows but the step from it
+# does not; the step from x2 overflows
+@example(case=(logistic(1.5e-308), -8e307), transient=0, n=5, cells=maps._CHUNK_CELLS)
+@example(case=(logistic(1.5e-308), -8e307), transient=0, n=5, cells=1)
+# with no transient the start check takes f'(x0), then the step from x0
+@example(case=(ahyb(1.0), 1e200), transient=0, n=5, cells=maps._CHUNK_CELLS)
+@example(case=(ahyb(1.0), 1e308), transient=0, n=5, cells=maps._CHUNK_CELLS)
+@example(case=(sine(1.0), 1e200), transient=0, n=5, cells=maps._CHUNK_CELLS)
+@example(case=(sine(1.0), 1e308), transient=0, n=5, cells=maps._CHUNK_CELLS)
+def test_orbit_kernel_matches_reference_loops(case, transient, n, cells):
     params, x0 = case
     got = orbit_outcome(lambda: iterate(params, x0, transient, n))
     assert got == orbit_outcome(lambda: oracles.iterate_reference(params, x0, transient, n))
-    got = orbit_outcome(lambda: lyapunov(params, x0, transient, n))
+    # chunks as small as one state carry the Lyapunov sum and the skip count
+    # across chunk boundaries
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_CHUNK_CELLS", cells)
+        got = orbit_outcome(lambda: lyapunov(params, x0, transient, n))
     assert got == orbit_outcome(lambda: oracles.lyapunov_reference(params, x0, transient, n))
+
+
+# ---------------------------------------------------------------------------
+# the numpy routes that the bulk code takes for libm: a platform fingerprint
+# (the goldens rest on them; numpy.show_runtime() names the SIMD extensions
+# that numpy dispatches to, which decide whether these hold)
+
+LIBM_ROUTES = [
+    ("float_power(x, 0.9)", (1.5, 3.0), lambda x: np.float_power(x, 0.9),
+     lambda x: x**0.9),
+    ("float_power(x, -0.1)", (1.5, 3.0), lambda x: np.float_power(x, -0.1),
+     lambda x: x**-0.1),
+    ("sin(pi * x)", (-4.0, 4.0), lambda x: np.sin(np.pi * x), lambda x: math.sin(math.pi * x)),
+    ("cos(pi * x)", (-4.0, 4.0), lambda x: np.cos(np.pi * x), lambda x: math.cos(math.pi * x)),
+]
+
+
+@pytest.mark.parametrize("name, bounds, bulk, scalar", LIBM_ROUTES,
+                         ids=[route[0] for route in LIBM_ROUTES])
+def test_numpy_route_rounds_as_libm(name, bounds, bulk, scalar):
+    x = np.random.default_rng(20_260_101).uniform(*bounds, 1 << 18)
+    want = np.fromiter(map(scalar, x.tolist()), np.float64, x.size)
+    differ = np.flatnonzero(bulk(x) != want)
+    assert differ.size == 0, (
+        f"numpy {name} differs from libm on {differ.size} of {x.size} inputs, "
+        f"first at x={float.hex(float(x[differ[0]]))}")
