@@ -199,29 +199,40 @@ def initial_sbox(x0: float, a: float, b: int,
     """
     _check_key_field("x0", x0)
     _check_key_field("b", b)
-    step = _kernel(MapParams(MapKind.AHYB, a, branch_mode))  # validates a
+    stretch = _kernel(MapParams(MapKind.AHYB, a, branch_mode))  # validates a
 
-    table = np.empty(256, dtype=np.uint8)
+    table = bytearray(256)
     seen = bytearray(256)
     placed = 0
     misses = 0
+    limit = _STALL_LIMIT
+    floor = math.floor
     x = float(x0)
     while placed < 256:
-        x = step(x)
-        v = math.floor(x * b + 0.5) % 256  # round half up; x * b >= 0
-        if seen[v]:
-            misses += 1
-            if misses >= _STALL_LIMIT:
-                raise GenerationStall(
-                    f"discarded {misses} consecutive duplicate candidates "
-                    f"({placed} of 256 placed); orbit is degenerate"
-                )
-        else:
-            seen[v] = 1
-            table[placed] = v
-            placed += 1
-            misses = 0
-    return table
+        # each step places one byte or adds one miss, so a stretch of this
+        # many steps ends at the last placement or the stall at the latest
+        count = 256 - placed
+        if misses > limit - count:
+            count = limit - misses
+        states = []
+        x = stretch(x, count, states)
+        states.append(x)
+        del states[0]  # now the state after each step
+        for s in states:
+            v = floor(s * b + 0.5) % 256  # round half up; s * b >= 0
+            if seen[v]:
+                misses += 1
+                if misses >= limit:
+                    raise GenerationStall(
+                        f"discarded {misses} consecutive duplicate candidates "
+                        f"({placed} of 256 placed); orbit is degenerate"
+                    )
+            else:
+                seen[v] = 1
+                table[placed] = v
+                placed += 1
+                misses = 0
+    return np.frombuffer(table, dtype=np.uint8)
 
 
 _BLOCK = 256  # schedule entries computed, and candidate swaps scored, at once

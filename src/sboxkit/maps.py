@@ -28,23 +28,31 @@ Everything here is a pure function of its arguments: same inputs, bit-identical
 outputs on one platform.
 
 ``map_step``, ``map_derivative`` and ``renormalize`` are the definitions.
-Single orbits (``iterate``, ``lyapunov`` and the generator's fill) are
-scalar Python loops over one kernel, ``_kernel(params)``, which resolves the
-map kind, the branch mode and the constant ``2 + A`` once per orbit and
-returns a step closure (the raw map, then for AHYB the round15 fold and the
-reseed).  It performs the same IEEE operations in the same order as the
+Single orbits (``iterate``, ``lyapunov`` and the generator's fill) run on
+one kernel, ``_kernel(params)``, which resolves the map kind, the branch
+mode and the constant ``2 + A`` once per orbit and returns a stretch
+closure: ``stretch(x, count, out)`` takes `count` steps in one Python loop,
+with the map formula inline (then for AHYB the round15 fold and the
+reseed), records in `out` each state it steps from, and returns the state
+after them.  It performs the same IEEE operations in the same order as the
 definitions, with libm ``pow`` and ``sin``, and raises and warns as they
 do.  The starting state is checked once, by the definitions that the loop
 calls first; after that only a diverging logistic orbit can leave the
-float range, so only the logistic step tests its value.  ``lyapunov`` steps
-its orbit with the kernel in chunks of at most ``_CHUNK_CELLS`` states, then
-takes the derivatives at a chunk's states in bulk with the sweeps' numpy
-code and adds their logs in step order, as a loop of ``map_derivative``
-calls would.  On a 2-core AVX-512 x86-64 machine (Python 3.11, numpy 2.4;
-in process, best of 5, one BLAS thread) a Lyapunov step of the benchmark's
-50-point sweeps (n = 10000, transient 1000) costs about 0.43-0.47 us (AHYB),
-0.24-0.26 us (logistic) and 0.26-0.29 us (sine), against 0.51-0.54, 0.27
-and 0.33-0.34 us with a scalar derivative closure per step.
+float range, and a non-finite logistic state stays non-finite, so the
+logistic stretch tests its last state alone and raises through
+``map_step`` at the state before the first non-finite one.  ``lyapunov``
+steps its orbit in stretches of at most ``_CHUNK_CELLS`` states, then takes
+the derivatives at a stretch's states in bulk with the sweeps' numpy code
+and adds their logs in step order, as a loop of ``map_derivative`` calls
+would.  An AHYB term at a state below 1.5 is ``log(2 + A)`` exactly, so it
+is taken once per estimate, and an ALGORITHM1 third-branch term is
+``log(1.0) = 0.0``; ``math.log`` runs on the other terms alone
+(``_log_terms``, shared with the Lyapunov sweep).  On a 2-core x86-64
+machine (Python 3.11, numpy 2.4; in process, one BLAS thread, best of 9
+alternating runs against the step-closure kernel) a Lyapunov step over 10
+of the benchmark's 50 sweep values (x0 0.37, n = 10000, transient 1000) costs about 0.36 us (AHYB),
+0.20 us (logistic) and 0.25 us (sine), against 0.45, 0.23 and 0.26 us with
+one closure call per step.
 
 Sweeps over the control parameter (``bifurcation_scan``,
 ``lyapunov_sweep``) advance every parameter's orbit in lockstep as one
@@ -231,20 +239,25 @@ def map_derivative(params: MapParams, x: float) -> float:
 
 
 def _kernel(params: MapParams):
-    """The orbit step of `params`, as a closure: ``map_step``, then for AHYB the fold.
+    """The orbit of `params` in stretches, as a closure: ``map_step``, then for AHYB the fold.
 
     The map kind, branch mode and the constant ``2 + A`` are resolved here,
-    once per orbit.  ``step(x)`` is ``map_step`` followed, for AHYB, by
-    ``renormalize`` and the reseed of a folded 0 to ``RESEED``; it performs
-    the same float operations in the same order, and raises and warns as
-    those functions do.  It does not test its argument: the caller checks
-    the starting state once, by calling on it the definitions that its loop
-    calls first.  After that check no AHYB or sine step can be non-finite (an
-    AHYB state is folded into [0, 4), and a sine state is at most the
-    parameter in magnitude), so only the logistic step, whose orbit diverges
-    from a start outside [0, 1], tests its value: on a non-finite one it
-    calls ``map_step``, which recomputes it and raises its own message.
-    The reseed warning names the caller of the function that runs the loop.
+    once per orbit.  ``stretch(x, count, out)`` takes `count` steps from `x`
+    in one loop, appends to the list `out` each state it steps from (`x`
+    first), and returns the state after them.  A step is ``map_step``
+    followed, for AHYB, by ``renormalize`` and the reseed of a folded 0 to
+    ``RESEED``; it performs the same float operations in the same order, and
+    raises and warns as those functions do.  It does not test `x`: the caller
+    checks the starting state once, by calling on it the definitions that
+    its loop calls first.  After that check no AHYB or sine step can be
+    non-finite (an AHYB state is folded into [0, 4), and a sine state is at
+    most the parameter in magnitude).  A logistic orbit diverges from a
+    start outside [0, 1], and a non-finite logistic state stays non-finite,
+    so the logistic stretch tests its last state alone: if that is not
+    finite, it drops from `out` the states after the last finite one and
+    calls ``map_step`` on that one, which recomputes the step and raises its
+    own message.  The reseed warning names the caller of the function that
+    calls the stretch.
     """
     a = params.control
 
@@ -253,42 +266,54 @@ def _kernel(params: MapParams):
         alg1 = params.branch_mode is BranchMode.ALGORITHM1
         floor = math.floor
 
-        def step(x):
-            if x < 1.5:
-                y = two_plus_a * x
-            elif x < 3.0:
-                y = a + x**0.9
-            elif alg1:
-                y = a - x
-            else:
-                y = x * (a - x)
-            # renormalize(y); round15 is odd, so |round15(y)| is floor(|y| * 1e15 + 0.5) / 1e15
-            x = 4.0 * (floor(abs(y) * 1e15 + 0.5) / 1e15 % 1.0)
-            if x == 0.0:
-                warnings.warn(
-                    "folded state hit 0 exactly; reseeding to 1e-12",
-                    DegenerateOrbitWarning,
-                    stacklevel=3,
-                )
-                x = RESEED
+        def stretch(x, count, out):
+            while count:  # cheaper than a range for the fill's short stretches
+                count -= 1
+                out.append(x)
+                if x < 1.5:
+                    y = two_plus_a * x
+                elif x < 3.0:
+                    y = a + x**0.9
+                elif alg1:
+                    y = a - x
+                else:
+                    y = x * (a - x)
+                # renormalize(y); round15 is odd, so |round15(y)| is floor(|y| * 1e15 + 0.5) / 1e15
+                x = 4.0 * (floor(abs(y) * 1e15 + 0.5) / 1e15 % 1.0)
+                if x == 0.0:
+                    warnings.warn(
+                        "folded state hit 0 exactly; reseeding to 1e-12",
+                        DegenerateOrbitWarning,
+                        stacklevel=3,
+                    )
+                    x = RESEED
             return x
 
     elif params.kind is MapKind.LOGISTIC:
         isfinite = math.isfinite
 
-        def step(x):
-            y = a * x * (1.0 - x)
-            if not isfinite(y):
-                map_step(params, x)  # recomputes y and raises
-            return y
+        def stretch(x, count, out):
+            start = len(out)
+            while count:
+                count -= 1
+                out.append(x)
+                x = a * x * (1.0 - x)
+            if not isfinite(x):
+                del out[start + sum(map(isfinite, out[start:])):]
+                map_step(params, out[-1])  # recomputes the first non-finite state and raises
+            return x
 
     else:
         pi, sin = math.pi, math.sin
 
-        def step(x):
-            return a * sin(pi * x)
+        def stretch(x, count, out):
+            while count:
+                count -= 1
+                out.append(x)
+                x = a * sin(pi * x)
+            return x
 
-    return step
+    return stretch
 
 
 def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> np.ndarray:
@@ -302,16 +327,20 @@ def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> 
     if (check_number("transient", transient, integer=True) < 0
             or check_number("n", n, integer=True) < 0):
         raise ValueError("transient and n must be non-negative")
-    step = _kernel(params)
+    stretch = _kernel(params)
     x = float(x0)
     if transient or n:  # an orbit of no steps never looks at x0
         map_step(params, x)  # the start check
-    for _ in range(transient):
-        x = step(x)
+    states = []
+    for start in range(0, transient, _CHUNK_CELLS):
+        states.clear()
+        x = stretch(x, min(_CHUNK_CELLS, transient - start), states)
     out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        x = step(x)
-        out[i] = x
+    for start in range(0, n, _CHUNK_CELLS):
+        states.clear()
+        x = stretch(x, min(_CHUNK_CELLS, n - start), states)
+        states.append(x)
+        out[start:start + len(states) - 1] = states[1:]  # the state after each step
     return out
 
 
@@ -382,6 +411,28 @@ def _abs_derivative(kind: MapKind, a, branch_mode: BranchMode, states: np.ndarra
         else:
             d = a * math.pi * np.cos(np.pi * states)
         return np.abs(d)
+
+
+def _log_terms(kind: MapKind, a, branch_mode: BranchMode, states: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
+    """``math.log`` of every element of `d`, `_abs_derivative` at `states`, in bulk.
+
+    `a` is the control value, a float or one value per column.  A term below
+    ``DERIVATIVE_FLOOR`` is skipped, and given as log(1.0) = 0.0; no AHYB
+    term is that small (|f'| >= 0.8).  An AHYB term at a state below 1.5 is
+    log(2 + A), taken once per control value, and an ALGORITHM1 third-branch
+    term is log(1.0) = 0.0, so ``math.log`` runs on the other terms alone.
+    """
+    def logs_of(v):
+        return np.fromiter(map(math.log, v.ravel().tolist()), np.float64, v.size).reshape(v.shape)
+
+    if kind is not MapKind.AHYB:
+        return logs_of(np.where(d < DERIVATIVE_FLOOR, 1.0, d))
+    low = states < 1.5
+    logs = np.where(low, logs_of(np.atleast_1d(2.0 + a)), 0.0)  # 2 + A as in the derivative
+    other = ~low if branch_mode is BranchMode.EQUATION1 else ~low & (states < 3.0)
+    np.place(logs, other, logs_of(np.extract(other, d)))
+    return logs
 
 
 def _lockstep(orbits: _Orbits, transient: int, n: int, consume) -> bool:
@@ -489,33 +540,32 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
         raise ValueError("n must be >= 1")
     if check_number("transient", transient, integer=True) < 0:
         raise ValueError("transient must be non-negative")
-    step = _kernel(params)
+    stretch = _kernel(params)
     x = float(x0)
     if not transient:
         map_derivative(params, x)
     map_step(params, x)  # the start check: the loop's first calls
-    for _ in range(transient):
-        x = step(x)
+    xs = []
+    for start in range(0, transient, _CHUNK_CELLS):
+        xs.clear()
+        x = stretch(x, min(_CHUNK_CELLS, transient - start), xs)
 
-    # Each chunk steps the orbit with the scalar kernel, then takes the
-    # derivatives at its states in bulk and adds their logs in step order.
+    # Each chunk steps the orbit in one stretch, then takes the derivatives
+    # at its states in bulk and adds their logs in step order.
     total = 0.0
     skipped = 0
     for start in range(0, n, _CHUNK_CELLS):
-        xs = []
-        append = xs.append
+        xs.clear()
         try:
-            for _ in range(min(_CHUNK_CELLS, n - start)):
-                append(x)
-                x = step(x)
+            x = stretch(x, min(_CHUNK_CELLS, n - start), xs)
         finally:  # f'(x) comes before the step from x, so a non-finite one raises first
-            d = _abs_derivative(params.kind, params.control, params.branch_mode, np.array(xs))
+            states = np.array(xs)
+            d = _abs_derivative(params.kind, params.control, params.branch_mode, states)
             if not np.isfinite(d).all():
                 map_derivative(params, xs[np.isfinite(d).argmin()])
-        low = d < DERIVATIVE_FLOOR
-        skipped += int(np.count_nonzero(low))
-        logs = np.fromiter(map(math.log, np.where(low, 1.0, d).tolist()), np.float64, len(xs))
-        logs[0] += total  # a skipped term adds log(1.0) = 0.0, which leaves the sum as it was
+        skipped += int(np.count_nonzero(d < DERIVATIVE_FLOOR))
+        logs = _log_terms(params.kind, params.control, params.branch_mode, states, d)
+        logs[0] += total
         total = float(np.add.accumulate(logs)[-1])
     if skipped:
         if skipped > 0.01 * n:
@@ -568,8 +618,7 @@ def lyapunov_sweep(
             d = _abs_derivative(kind, values, branch_mode, states[:-1])
             if (d < DERIVATIVE_FLOOR).any():  # the scalar loop warns or raises
                 return False
-            logs = np.fromiter(map(math.log, d.ravel().tolist()), np.float64, d.size)
-            logs = logs.reshape(d.shape)
+            logs = _log_terms(kind, values, branch_mode, states[:-1], d)
             logs[0] += total
             total[:] = np.add.accumulate(logs, axis=0)[-1]
             return True

@@ -24,7 +24,10 @@ and `lyapunov_reference` are the orbit loops written with the public
 library's single-orbit kernel must match them bit for bit, warnings and
 errors included.
 `bifurcation_reference` and `lyapunov_sweep_reference` run one such orbit per
-parameter value, which the lockstep sweeps must match in the same way.
+parameter value, which the lockstep sweeps must match in the same way, and
+`initial_sbox_reference` is the generator's fill with one `_advance` per
+draw, which the fill's stretches of the kernel must match (`call_outcome`
+gives a call's bits or exception and its warnings, for comparing them).
 `parse_tokens_reference` is the grid parser's line-by-line token loop; the
 library's one-pass path for a clean grid must give the same array, and the
 same ParseError message for any other text.
@@ -46,11 +49,13 @@ from sboxkit.errors import (
     DegenerateOrbitWarning,
     DerivativeSkipWarning,
     DerivativeZero,
+    GenerationStall,
     ParseError,
 )
 from sboxkit.maps import (
     DERIVATIVE_FLOOR,
     RESEED,
+    BranchMode,
     MapKind,
     MapParams,
     map_derivative,
@@ -310,6 +315,46 @@ def iterate_reference(params, x0, transient, n) -> np.ndarray:
         x = _advance(params, x)
         out[i] = x
     return out
+
+
+def initial_sbox_reference(x0, a, b, branch_mode=BranchMode.EQUATION1,
+                           stall_limit=10**6) -> np.ndarray:
+    """The chaotic fill, one `_advance` per draw: each draw's byte is placed unless seen.
+
+    GenerationStall after `stall_limit` consecutive duplicates, as the library's
+    `_STALL_LIMIT`.
+    """
+    _check_key_field("x0", x0)
+    _check_key_field("b", b)
+    params = MapParams(MapKind.AHYB, a, branch_mode)
+    table = []
+    misses = 0
+    x = float(x0)
+    while len(table) < 256:
+        x = _advance(params, x)
+        v = math.floor(x * b + 0.5) % 256
+        if v in table:
+            misses += 1
+            if misses >= stall_limit:
+                raise GenerationStall(
+                    f"discarded {misses} consecutive duplicate candidates "
+                    f"({len(table)} of 256 placed); orbit is degenerate"
+                )
+        else:
+            table.append(v)
+            misses = 0
+    return np.array(table, dtype=np.uint8)
+
+
+def call_outcome(call):
+    """Result bytes or exception of `call`, and each warning with the file it names."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            result = ("ok", np.asarray(call()).tobytes())
+        except Exception as exc:  # noqa: BLE001 - the type is compared
+            result = ("raised", type(exc), str(exc))
+    return result, [(w.category, str(w.message), w.filename) for w in seen]
 
 
 def lyapunov_reference(params, x0, transient, n) -> float:

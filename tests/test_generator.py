@@ -156,12 +156,78 @@ def test_initial_sbox_stalls_on_degenerate_orbit(monkeypatch):
     from sboxkit import GenerationStall
 
     # a constant orbit keeps producing the same byte; after the first
-    # placement every candidate is a duplicate (the fill steps the orbit
-    # with the step closure of generator._kernel)
-    monkeypatch.setattr(gen, "_kernel", lambda params: lambda x: 1.0)
+    # placement every candidate is a duplicate (the fill steps the orbit in
+    # stretches of generator._kernel: each records the states it steps from
+    # and returns the state after them)
+    def constant_orbit(params):
+        def stretch(x, count, out):
+            out.extend([x] + [1.0] * (count - 1))
+            return 1.0
+        return stretch
+
+    monkeypatch.setattr(gen, "_kernel", constant_orbit)
     monkeypatch.setattr(gen, "_STALL_LIMIT", 1000)
     with pytest.raises(GenerationStall):
         initial_sbox(0.7, 1.3, 55_555_555)
+
+
+# The fill against its definition, one `_advance` per draw: the first step
+# from 4/3 at A = 1 folds to 0 and reseeds, and a small stall limit stops a
+# fill early (after 3 misses of the reseeded orbit's byte 0) or late.
+@settings(max_examples=150, deadline=None)
+@given(x0=st.one_of(st.just(4.0 / 3.0), st.floats(0.0, 4.0)),
+       a=st.one_of(st.just(1.0), st.floats(0.0, 2.0)),
+       b=st.integers(1_000_000, 1_000_000_000),
+       mode=st.sampled_from(list(BranchMode)),
+       limit=st.sampled_from([gen._STALL_LIMIT, 3, 40]))
+@example(x0=4.0 / 3.0, a=1.0, b=55_555_555, mode=BranchMode.EQUATION1, limit=gen._STALL_LIMIT)
+@example(x0=4.0 / 3.0, a=1.0, b=55_555_555, mode=BranchMode.ALGORITHM1, limit=gen._STALL_LIMIT)
+@example(x0=4.0 / 3.0, a=1.0, b=55_555_555, mode=BranchMode.EQUATION1, limit=3)
+@example(x0=0.7, a=1.3, b=55_555_555, mode=BranchMode.EQUATION1, limit=40)
+@example(x0=0.7, a=1.3, b=55_555_555, mode=BranchMode.ALGORITHM1, limit=40)
+def test_initial_sbox_matches_reference(x0, a, b, mode, limit):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gen, "_STALL_LIMIT", limit)
+        got = oracles.call_outcome(lambda: initial_sbox(x0, a, b, mode))
+    want = oracles.call_outcome(lambda: oracles.initial_sbox_reference(x0, a, b, mode, limit))
+    assert got == want
+
+
+@pytest.mark.parametrize("x0, a, b, limit", [
+    (0.7, 1.3, 55_555_555, gen._STALL_LIMIT),
+    (0.442637767848956, 1.0, 7317130, gen._STALL_LIMIT),
+    (4.0 / 3.0, 1.0, 55_555_555, 3),
+    (0.7, 1.3, 55_555_555, 40),
+])
+def test_initial_sbox_takes_the_reference_steps(monkeypatch, x0, a, b, limit):
+    # the fill's stretches end at the last placement or the stall: no step
+    # more than one `_advance` per draw (the wrappers move the file that a
+    # reseed warning names, so only the warnings' number is compared)
+    steps = []
+
+    def counted(params):
+        stretch = gen_kernel(params)
+
+        def run(x, count, out):
+            steps.append(count)
+            return stretch(x, count, out)
+        return run
+
+    draws = []
+
+    def advance(params, x):
+        draws.append(x)
+        return oracle_advance(params, x)
+
+    gen_kernel, oracle_advance = gen._kernel, oracles._advance
+    monkeypatch.setattr(gen, "_kernel", counted)
+    monkeypatch.setattr(gen, "_STALL_LIMIT", limit)
+    monkeypatch.setattr(oracles, "_advance", advance)
+    got = oracles.call_outcome(lambda: initial_sbox(x0, a, b))
+    want = oracles.call_outcome(lambda: oracles.initial_sbox_reference(x0, a, b,
+                                                                       stall_limit=limit))
+    assert got[0] == want[0] and len(got[1]) == len(want[1])
+    assert sum(steps) == len(draws)
 
 
 # ---------------------------------------------------------------------------

@@ -334,6 +334,14 @@ def test_bifurcation_scan_matches_single_orbits(case, transient, samples, cells)
 @settings(max_examples=80, deadline=None)
 @given(case=sweep_cases(), transient=st.integers(0, 40), n=st.integers(1, 300),
        cells=chunk_cells)
+# orbits from 1e-9 stay in the AHYB low branch, whose log term is one
+# constant per value, for most of 12 samples; lockstep and scalar widths
+@example(case=(MapKind.AHYB, BranchMode.EQUATION1, 0.05, 1.95, WIDE, 1e-9), transient=0, n=12,
+         cells=maps._CHUNK_CELLS)
+@example(case=(MapKind.AHYB, BranchMode.ALGORITHM1, 0.05, 1.95, WIDE, 1e-9), transient=0,
+         n=12, cells=maps._CHUNK_CELLS)
+@example(case=(MapKind.AHYB, BranchMode.ALGORITHM1, 0.05, 1.95, 3, 1e-9), transient=0, n=12,
+         cells=5)
 def test_lyapunov_sweep_matches_single_orbits(case, transient, n, cells):
     kind, mode, lo, hi, steps, x0 = case
     values = np.linspace(lo, hi, steps)
@@ -561,17 +569,6 @@ def test_wide_clean_sweeps_step_in_lockstep(monkeypatch):
 # ---------------------------------------------------------------------------
 # the single-orbit kernel against loops of map_step / map_derivative calls
 
-def orbit_outcome(call):
-    """Result bits or exception of `call`, and each warning with the file it names."""
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        try:
-            result = ("ok", np.asarray(call()).tobytes())
-        except Exception as exc:  # noqa: BLE001 - the type is compared
-            result = ("raised", type(exc), str(exc))
-    return result, [(w.category, str(w.message), w.filename) for w in seen]
-
-
 # Branch boundaries, the state that folds to 0 at A = 1, the reference maps'
 # critical point, and states that overflow a step, the fold or a derivative.
 X0_EDGES = (1.5, 3.0, 4.0 / 3.0, 0.5, 1e150, 1e200, 1e308, -1e308,
@@ -593,6 +590,9 @@ def orbit_cases(draw):
 @example(case=(ahyb(1.0, BranchMode.ALGORITHM1), 4.0 / 3.0), transient=0, n=5,
          cells=maps._CHUNK_CELLS)
 @example(case=(ahyb(0.7), 1.5), transient=0, n=3, cells=maps._CHUNK_CELLS)
+# mostly AHYB low-branch terms, log(2 + A), in both branch modes
+@example(case=(ahyb(1.0), 1e-9), transient=0, n=12, cells=maps._CHUNK_CELLS)
+@example(case=(ahyb(1.0, BranchMode.ALGORITHM1), 1e-9), transient=0, n=12, cells=5)
 @example(case=(ahyb(0.7), 3.0), transient=0, n=3, cells=maps._CHUNK_CELLS)
 @example(case=(logistic(3.0), 0.5), transient=0, n=200, cells=maps._CHUNK_CELLS)
 # a skip among 200 samples warns, in one chunk or across several
@@ -612,14 +612,14 @@ def orbit_cases(draw):
 @example(case=(sine(1.0), 1e308), transient=0, n=5, cells=maps._CHUNK_CELLS)
 def test_orbit_kernel_matches_reference_loops(case, transient, n, cells):
     params, x0 = case
-    got = orbit_outcome(lambda: iterate(params, x0, transient, n))
-    assert got == orbit_outcome(lambda: oracles.iterate_reference(params, x0, transient, n))
+    got = oracles.call_outcome(lambda: iterate(params, x0, transient, n))
+    assert got == oracles.call_outcome(lambda: oracles.iterate_reference(params, x0, transient, n))
     # chunks as small as one state carry the Lyapunov sum and the skip count
     # across chunk boundaries
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(maps, "_CHUNK_CELLS", cells)
-        got = orbit_outcome(lambda: lyapunov(params, x0, transient, n))
-    assert got == orbit_outcome(lambda: oracles.lyapunov_reference(params, x0, transient, n))
+        got = oracles.call_outcome(lambda: lyapunov(params, x0, transient, n))
+    assert got == oracles.call_outcome(lambda: oracles.lyapunov_reference(params, x0, transient, n))
 
 
 # ---------------------------------------------------------------------------
