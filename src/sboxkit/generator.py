@@ -207,6 +207,7 @@ def initial_sbox(x0: float, a: float, b: int,
     misses = 0
     limit = _STALL_LIMIT
     floor = math.floor
+    scale = float(b)  # exact (b < 2**53), so s * scale rounds as s * b
     x = float(x0)
     while placed < 256:
         # each step places one byte or adds one miss, so a stretch of this
@@ -216,10 +217,8 @@ def initial_sbox(x0: float, a: float, b: int,
             count = limit - misses
         states = []
         x = stretch(x, count, states)
-        states.append(x)
-        del states[0]  # now the state after each step
         for s in states:
-            v = floor(s * b + 0.5) % 256  # round half up; s * b >= 0
+            v = floor(s * scale + 0.5) % 256  # round half up; s * b >= 0
             if seen[v]:
                 misses += 1
                 if misses >= limit:

@@ -33,8 +33,8 @@ one kernel, ``_kernel(params)``, which resolves the map kind, the branch
 mode and the constant ``2 + A`` once per orbit and returns a stretch
 closure: ``stretch(x, count, out)`` takes `count` steps in one Python loop,
 with the map formula inline (then for AHYB the round15 fold and the
-reseed), records in `out` each state it steps from, and returns the state
-after them.  It performs the same IEEE operations in the same order as the
+reseed), records in `out` the state after each step, and returns the last
+of them.  It performs the same IEEE operations in the same order as the
 definitions, with libm ``pow`` and ``sin``, and raises and warns as they
 do.  The starting state is checked once, by the definitions that the loop
 calls first; after that only a diverging logistic orbit can leave the
@@ -45,9 +45,8 @@ steps its orbit in stretches of at most ``_CHUNK_CELLS`` states, then takes
 the derivatives at a stretch's states in bulk with the sweeps' numpy code
 and adds their logs in step order, as a loop of ``map_derivative`` calls
 would.  An AHYB term at a state below 1.5 is ``log(2 + A)`` exactly, so it
-is taken once per estimate, and an ALGORITHM1 third-branch term is
-``log(1.0) = 0.0``; ``math.log`` runs on the other terms alone
-(``_log_terms``, shared with the Lyapunov sweep).  On a 2-core x86-64
+is taken once per estimate, and ``math.log`` runs on the other terms
+alone (``_log_terms``, shared with the Lyapunov sweep).  On a 2-core x86-64
 machine (Python 3.11, numpy 2.4; in process, one BLAS thread, best of 9
 alternating runs against the step-closure kernel) a Lyapunov step over 10
 of the benchmark's 50 sweep values (x0 0.37, n = 10000, transient 1000) costs about 0.36 us (AHYB),
@@ -243,21 +242,21 @@ def _kernel(params: MapParams):
 
     The map kind, branch mode and the constant ``2 + A`` are resolved here,
     once per orbit.  ``stretch(x, count, out)`` takes `count` steps from `x`
-    in one loop, appends to the list `out` each state it steps from (`x`
-    first), and returns the state after them.  A step is ``map_step``
-    followed, for AHYB, by ``renormalize`` and the reseed of a folded 0 to
-    ``RESEED``; it performs the same float operations in the same order, and
-    raises and warns as those functions do.  It does not test `x`: the caller
+    in one loop, appends to the list `out` the state after each step, and
+    returns the last of them.  A step is ``map_step`` followed, for AHYB, by
+    ``renormalize`` and the reseed of a folded 0 to ``RESEED``; it performs
+    the same float operations in the same order, and raises and warns as
+    those functions do.  It does not test `x`: the caller
     checks the starting state once, by calling on it the definitions that
     its loop calls first.  After that check no AHYB or sine step can be
     non-finite (an AHYB state is folded into [0, 4), and a sine state is at
     most the parameter in magnitude).  A logistic orbit diverges from a
     start outside [0, 1], and a non-finite logistic state stays non-finite,
     so the logistic stretch tests its last state alone: if that is not
-    finite, it drops from `out` the states after the last finite one and
-    calls ``map_step`` on that one, which recomputes the step and raises its
-    own message.  The reseed warning names the caller of the function that
-    calls the stretch.
+    finite, it drops from `out` the states after the first non-finite one
+    and calls ``map_step`` on the state before it, which recomputes the step
+    and raises its own message.  The reseed warning names the caller of the
+    function that calls the stretch.
     """
     a = params.control
 
@@ -269,7 +268,6 @@ def _kernel(params: MapParams):
         def stretch(x, count, out):
             while count:  # cheaper than a range for the fill's short stretches
                 count -= 1
-                out.append(x)
                 if x < 1.5:
                     y = two_plus_a * x
                 elif x < 3.0:
@@ -287,20 +285,22 @@ def _kernel(params: MapParams):
                         stacklevel=3,
                     )
                     x = RESEED
+                out.append(x)
             return x
 
     elif params.kind is MapKind.LOGISTIC:
         isfinite = math.isfinite
 
         def stretch(x, count, out):
-            start = len(out)
+            start, x_start = len(out), x
             while count:
                 count -= 1
-                out.append(x)
                 x = a * x * (1.0 - x)
+                out.append(x)
             if not isfinite(x):
-                del out[start + sum(map(isfinite, out[start:])):]
-                map_step(params, out[-1])  # recomputes the first non-finite state and raises
+                bad = start + sum(map(isfinite, out[start:]))  # the first non-finite state
+                del out[bad + 1:]
+                map_step(params, out[bad - 1] if bad > start else x_start)  # recomputes it and raises
             return x
 
     else:
@@ -309,8 +309,8 @@ def _kernel(params: MapParams):
         def stretch(x, count, out):
             while count:
                 count -= 1
-                out.append(x)
                 x = a * sin(pi * x)
+                out.append(x)
             return x
 
     return stretch
@@ -339,8 +339,7 @@ def iterate(params: MapParams, x0: float, transient: int = 0, n: int = 1000) -> 
     for start in range(0, n, _CHUNK_CELLS):
         states.clear()
         x = stretch(x, min(_CHUNK_CELLS, n - start), states)
-        states.append(x)
-        out[start:start + len(states) - 1] = states[1:]  # the state after each step
+        out[start:start + len(states)] = states
     return out
 
 
@@ -413,15 +412,14 @@ def _abs_derivative(kind: MapKind, a, branch_mode: BranchMode, states: np.ndarra
         return np.abs(d)
 
 
-def _log_terms(kind: MapKind, a, branch_mode: BranchMode, states: np.ndarray,
-               d: np.ndarray) -> np.ndarray:
+def _log_terms(kind: MapKind, a, states: np.ndarray, d: np.ndarray) -> np.ndarray:
     """``math.log`` of every element of `d`, `_abs_derivative` at `states`, in bulk.
 
     `a` is the control value, a float or one value per column.  A term below
     ``DERIVATIVE_FLOOR`` is skipped, and given as log(1.0) = 0.0; no AHYB
     term is that small (|f'| >= 0.8).  An AHYB term at a state below 1.5 is
-    log(2 + A), taken once per control value, and an ALGORITHM1 third-branch
-    term is log(1.0) = 0.0, so ``math.log`` runs on the other terms alone.
+    log(2 + A), taken once per control value, so ``math.log`` runs on the
+    other terms alone.
     """
     def logs_of(v):
         return np.fromiter(map(math.log, v.ravel().tolist()), np.float64, v.size).reshape(v.shape)
@@ -430,8 +428,7 @@ def _log_terms(kind: MapKind, a, branch_mode: BranchMode, states: np.ndarray,
         return logs_of(np.where(d < DERIVATIVE_FLOOR, 1.0, d))
     low = states < 1.5
     logs = np.where(low, logs_of(np.atleast_1d(2.0 + a)), 0.0)  # 2 + A as in the derivative
-    other = ~low if branch_mode is BranchMode.EQUATION1 else ~low & (states < 3.0)
-    np.place(logs, other, logs_of(np.extract(other, d)))
+    np.place(logs, ~low, logs_of(np.extract(~low, d)))
     return logs
 
 
@@ -555,16 +552,16 @@ def lyapunov(params: MapParams, x0: float, transient: int = 1000, n: int = 10000
     total = 0.0
     skipped = 0
     for start in range(0, n, _CHUNK_CELLS):
-        xs.clear()
+        xs = [x]
         try:
             x = stretch(x, min(_CHUNK_CELLS, n - start), xs)
         finally:  # f'(x) comes before the step from x, so a non-finite one raises first
-            states = np.array(xs)
+            states = np.array(xs)[:-1]  # the states stepped from
             d = _abs_derivative(params.kind, params.control, params.branch_mode, states)
             if not np.isfinite(d).all():
                 map_derivative(params, xs[np.isfinite(d).argmin()])
         skipped += int(np.count_nonzero(d < DERIVATIVE_FLOOR))
-        logs = _log_terms(params.kind, params.control, params.branch_mode, states, d)
+        logs = _log_terms(params.kind, params.control, states, d)
         logs[0] += total
         total = float(np.add.accumulate(logs)[-1])
     if skipped:
@@ -618,7 +615,7 @@ def lyapunov_sweep(
             d = _abs_derivative(kind, values, branch_mode, states[:-1])
             if (d < DERIVATIVE_FLOOR).any():  # the scalar loop warns or raises
                 return False
-            logs = _log_terms(kind, values, branch_mode, states[:-1], d)
+            logs = _log_terms(kind, values, states[:-1], d)
             logs[0] += total
             total[:] = np.add.accumulate(logs, axis=0)[-1]
             return True

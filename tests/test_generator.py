@@ -157,11 +157,11 @@ def test_initial_sbox_stalls_on_degenerate_orbit(monkeypatch):
 
     # a constant orbit keeps producing the same byte; after the first
     # placement every candidate is a duplicate (the fill steps the orbit in
-    # stretches of generator._kernel: each records the states it steps from
-    # and returns the state after them)
+    # stretches of generator._kernel: each records the state after each step
+    # and returns the last of them)
     def constant_orbit(params):
         def stretch(x, count, out):
-            out.extend([x] + [1.0] * (count - 1))
+            out.extend([1.0] * count)
             return 1.0
         return stretch
 

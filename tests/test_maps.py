@@ -605,6 +605,8 @@ def orbit_cases(draw):
 # does not; the step from x2 overflows
 @example(case=(logistic(1.5e-308), -8e307), transient=0, n=5, cells=maps._CHUNK_CELLS)
 @example(case=(logistic(1.5e-308), -8e307), transient=0, n=5, cells=1)
+# the step from x1 overflows, and it starts a stretch of the transient
+@example(case=(logistic(4.0), -1e100), transient=5, n=5, cells=1)
 # with no transient the start check takes f'(x0), then the step from x0
 @example(case=(ahyb(1.0), 1e200), transient=0, n=5, cells=maps._CHUNK_CELLS)
 @example(case=(ahyb(1.0), 1e308), transient=0, n=5, cells=maps._CHUNK_CELLS)
