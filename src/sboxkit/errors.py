@@ -1,7 +1,7 @@
 """Exception and warning types shared across the toolkit, and the one argument check.
 
-`check_number` and `check_member` own the rule for every number and enum
-argument (map controls, key fields, start states, counts, masks, modes).
+`check_number` and `check_member` own the rule for every number, enum and
+object argument (controls, key fields, states, counts, masks, modes, configs).
 """
 
 import numbers
@@ -31,11 +31,11 @@ def check_number(name: str, value, lo=None, hi=None, integer=False, hi_closed=Fa
     return value
 
 
-def check_member(name: str, value, enum):
-    """`value`, if it is a member of `enum`; its string value is not."""
-    if not isinstance(value, enum):
-        article = "an" if enum.__name__[0] in "AEIOU" else "a"
-        raise ParamOutOfRange(f"{name} must be {article} {enum.__name__}, got {value!r}")
+def check_member(name: str, value, cls):
+    """`value`, if it is an instance of `cls`; an enum member's string value is not."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ParamOutOfRange(f"{name} must be {article} {cls.__name__}, got {value!r}")
     return value
 
 

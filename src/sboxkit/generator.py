@@ -39,23 +39,23 @@ The same rank-one term gives an exact stop.  A swap (p, q) lowers a peak
 cell (b, a) only if s_b(p) != s_b(q) and s_b(x) * H[x, a] = sign W_b(a) for
 x = p and x = q.  A gain lowers every peak cell of some row for the sum,
 and every cell at the global peak for min and full, so only the few pairs
-that meet both conditions at all those cells can gain.  Once 2,048 entries
-pass without an accept, those pairs are scored once at the critical cells;
-if none beats the objective, no swap of the current table can, every entry
-left is a rejection, and the climb is over.
+that meet both conditions at all those cells can gain.  The stop test
+scores those pairs at the critical cells; if none beats the objective, no
+swap of the current table can, every entry left is a rejection, and the
+climb is over.
 
 So the climb is one pass over the schedule.  Each block is scanned for
-accepts; each accept builds the next table's view (its critical cells,
-scorer and stop-test candidates) once; after a block, the stop test may
-run; and a proof or the end of the budget leads to the one exit, with the
-stats of the whole budget.  Most climbs stop before the budget ends: on the
-golden key the climb computes 7,168 schedule entries for the sum, 2,560 for
-min and 2,304 for full, of 65,536.  An entry costs about 1.2-2.1 us of
-scalar libm, most of a refine.  Over the first 30 keys of the benchmark's
-seed-42 `keygen` workload, a default-budget refine took a median of
-40-60 ms for the sum and 4-8 ms for min and full (one BLAS thread, a 2-core
-x86-64 machine, Python 3.11, numpy 2.4), against 0.09-0.18 s when every
-entry is computed; `generate` adds under a millisecond for the fill.
+accepts; each accept builds the next table's view (critical cells, scorer,
+stop test) once; each table is tested at the end of the first block scanned
+against it; and a proof or the end of the budget leads to the one exit,
+with the stats of the whole budget.  On the golden key the climb computes
+5,120 of the 65,536 schedule entries for the sum, 512 for min and 256 for
+full.  An entry costs about 1.2-2.1 us of scalar libm, most of a refine.
+Over the first 30 keys of the benchmark's seed-42 `keygen` workload, a
+default-budget refine took a median of 35-42 ms for the sum, 1.3 ms for
+min and 2.0 ms for full (one BLAS thread, a 2-core x86-64 machine, Python
+3.11, numpy 2.4), against 0.09-0.18 s when every entry is computed;
+`generate` adds under a millisecond for the fill.
 
 The recurrences are guarded: the state is clamped to >= 1e-12 before the log
 terms, and if |cos(x)| < 1e-12 the state is nudged by 1e-9 before taking the
@@ -63,6 +63,7 @@ reciprocal.  Both stages are deterministic functions of the key.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -183,6 +184,11 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class RefineStats:
+    """A climb's budget, accepted swaps, and objective before and after.
+
+    `iterations` is the budget, not the schedule entries the climb computed.
+    """
+
     iterations: int
     accepted: int
     objective_initial: int
@@ -235,7 +241,6 @@ def initial_sbox(x0: float, a: float, b: int,
 
 
 _BLOCK = 256  # schedule entries computed, and candidate swaps scored, at once
-_STOP_AFTER = 2048  # entries scanned without an accept before the stop test
 
 
 def _swap_schedule(c: int, d: int, e: float, f: float, budget: int):
@@ -268,14 +273,15 @@ def _swap_schedule(c: int, d: int, e: float, f: float, budget: int):
         yield np.frombuffer(si, np.uint8), np.frombuffer(sj, np.uint8)
 
 
-def _climb_view(walsh, signs, hadamard, per_row) -> tuple:
-    """The scorer of one table's swaps, and its stop test's candidate pairs.
+def _climb_view(walsh, signs, hadamard, per_row, best) -> tuple:
+    """The scorer of one table's swaps, and the table's stop test.
 
-    Returns (score, candidates).  `score(i, j)` gives the objective after
-    each swap (i[k], j[k]), read at the critical cells alone; `candidates()`
-    gives the swaps (p, q), p < q, that lower every peak cell of some row
-    (sum) or every cell at the global peak (min, full), as two index arrays:
-    no other swap can gain (module docstring).  Built once per accepted table.
+    Returns (score, optimal).  `score(i, j)` gives the objective after each
+    swap (i[k], j[k]), read at the critical cells alone.  `optimal()`, run
+    once and cached, tells whether no swap beats `best`: it scores only the
+    swaps that lower every peak cell of some row (sum) or every cell at the
+    global peak (min, full), a row's at a time, up to the first gain; no
+    other swap can gain (module docstring).  Built once per accepted table.
     """
     # the critical cells, |W| > M - 8 for each peak M (module docstring)
     mag = np.abs(walsh)
@@ -299,22 +305,23 @@ def _climb_view(walsh, signs, hadamard, per_row) -> tuple:
         moved = np.abs(cell_w - diff[:, :n] * diff[:, n:])
         return ((256 - moved[:, groups].max(axis=2)) // 2).sum(axis=1)
 
-    def candidates():
+    @functools.cache
+    def optimal():
         at = np.flatnonzero(np.abs(cell_w) == peak[rows])  # the peak cells
         # lowers[x, k]: s_b(x) * H[x, a] = sign W_b(a) at peak cell k = (b, a)
         lowers = cell_sh[:, at] * cell_sh[:, n + at] == np.sign(cell_w[at])
         at_rows = rows[at]
-        codes = []
         for cells in [at_rows == b for b in np.unique(at_rows)] if per_row else [slice(None)]:
             x = np.flatnonzero(lowers[:, cells].all(axis=1))
             s = signs[np.unique(at_rows[cells])][:, x]
             # s_b(p) != s_b(q) in each of the group's rows
-            p, q = np.nonzero(np.triu(s.T @ s == -len(s)))
-            codes.append(x[p] * 256 + x[q])
-        codes = np.unique(np.concatenate(codes))
-        return codes >> 8, codes & 255
+            p, q = x[np.argwhere(np.triu(s.T @ s == -len(s))).T]
+            if any((score(p[k:k + _BLOCK], q[k:k + _BLOCK]) > best).any()
+                   for k in range(0, len(p), _BLOCK)):
+                return False
+        return True
 
-    return score, candidates
+    return score, optimal
 
 
 def refine_sbox(box, c: int, d: int, e: float, f: float,
@@ -329,6 +336,7 @@ def refine_sbox(box, c: int, d: int, e: float, f: float,
     table = as_sbox(box).copy()
     for name, value in zip("cdef", (c, d, e, f)):
         _check_key_field(name, value)
+    check_member("config", config, RefineConfig)
     full = config.objective is Objective.FULL_SPECTRUM_NL
     per_row = config.objective is Objective.SUM_COORDINATE_NL
     hadamard = _hadamard().astype(np.int16)
@@ -337,14 +345,12 @@ def refine_sbox(box, c: int, d: int, e: float, f: float,
     walsh = _all_mask_spectra(table, masks).astype(np.int16)
     best = initial = int((np.sum if per_row else np.min)(_nl_from_spectra(walsh)))
     accepted = 0
-    score, candidates = _climb_view(walsh, signs, hadamard, per_row)
-    quiet, tested = 0, False  # entries scanned since the last accept
+    score, optimal = _climb_view(walsh, signs, hadamard, per_row, best)
     for i, j in _swap_schedule(c, d, e, f, config.budget):
         while len(i):
             scores = score(i, j)
             hits = np.flatnonzero(scores > best)
             if not hits.size:
-                quiet += len(i)
                 break
             k = int(hits[0])
             p, q = int(i[k]), int(j[k])
@@ -353,23 +359,17 @@ def refine_sbox(box, c: int, d: int, e: float, f: float,
             signs[:, [p, q]] = signs[:, [q, p]]
             best = int(scores[k])
             accepted += 1
-            score, candidates = _climb_view(walsh, signs, hadamard, per_row)
-            quiet, tested = 0, False
+            score, optimal = _climb_view(walsh, signs, hadamard, per_row, best)
             i, j = i[k + 1:], j[k + 1:]
-        if not tested and quiet >= _STOP_AFTER:
-            # once per table: if no swap at all can gain, every entry left
-            # is a rejection and the climb is over
-            tested = True
-            p, q = candidates()
-            if not any((score(p[k:k + _BLOCK], q[k:k + _BLOCK]) > best).any()
-                       for k in range(0, len(p), _BLOCK)):
-                break
+        if optimal():  # no swap can gain: every entry left is a rejection
+            break
     return table, RefineStats(config.budget, accepted, initial, best)
 
 
 def generate(key: KeySpec, config: RefineConfig = RefineConfig(),
              branch_mode: BranchMode = BranchMode.EQUATION1) -> np.ndarray:
     """Full pipeline: chaotic fill, then key-dependent refinement."""
+    check_member("key", key, KeySpec)
     box = initial_sbox(key.x0, key.a, key.b, branch_mode)
     refined, _ = refine_sbox(box, key.c, key.d, key.e, key.f, config)
     return refined

@@ -191,7 +191,7 @@ def map_step(params: MapParams, x: float) -> float:
     """
     if not math.isfinite(x):
         raise NonFiniteState(f"map_step received non-finite state {x!r}")
-    a = params.control
+    a = check_member("params", params, MapParams).control
     if params.kind is MapKind.AHYB:
         if x < 1.5:
             y = (2.0 + a) * x
@@ -217,7 +217,7 @@ def map_derivative(params: MapParams, x: float) -> float:
     """d/dx of map_step at x, branch-consistent with map_step."""
     if not math.isfinite(x):
         raise NonFiniteState(f"map_derivative received non-finite state {x!r}")
-    a = params.control
+    a = check_member("params", params, MapParams).control
     if params.kind is MapKind.AHYB:
         if x < 1.5:
             d = 2.0 + a
@@ -258,7 +258,7 @@ def _kernel(params: MapParams):
     and raises its own message.  The reseed warning names the caller of the
     function that calls the stretch.
     """
-    a = params.control
+    a = check_member("params", params, MapParams).control
 
     if params.kind is MapKind.AHYB:
         two_plus_a = 2.0 + a

@@ -1,7 +1,7 @@
 """The one argument rule, tried at every public entry point.
 
-Each number, count and enum argument is replaced in turn by a value that is
-not what it claims to be; every such call raises ParamOutOfRange, never a
+Each number, count, enum and object argument is replaced in turn by a value
+that is not what it claims to be; every such call raises ParamOutOfRange, never a
 bare TypeError or KeyError, and never runs with a coerced value.  The
 messages that callers may match on are pinned byte for byte.
 """
@@ -25,11 +25,14 @@ from sboxkit import (
     compare,
     component_bits,
     full_report,
+    generate,
     get_entry,
     initial_sbox,
     iterate,
     lyapunov,
     lyapunov_sweep,
+    map_derivative,
+    map_step,
     refine_sbox,
     sbox_nonlinearity,
 )
@@ -65,6 +68,8 @@ ENTRY_POINTS = {
                                         branch_mode=BranchMode.EQUATION1), ("b",)),
     "refine_sbox": (refine_sbox, dict(c=5, d=7, e=0.5, f=0.5, config=RefineConfig(budget=4)),
                     ("c", "d")),
+    "generate": (generate, dict(key=KeySpec(**KEY), config=RefineConfig(budget=4),
+                                branch_mode=BranchMode.EQUATION1), ()),
     "RefineConfig": (RefineConfig, dict(budget=4, objective=Objective.MIN_COORDINATE_NL),
                      ("budget",)),
     "component_bits": (component_bits, dict(mask=5), ("mask",)),
@@ -81,8 +86,6 @@ POSITIONAL = {"refine_sbox": (AES,), "component_bits": (AES,),
 def _cases():
     for entry, (func, kwargs, integers) in ENTRY_POINTS.items():
         for arg in kwargs:
-            if arg in ("params", "config"):  # not a number or an enum member
-                continue
             bad = dict(BAD, **(NOT_INTEGER if arg in integers else {}))
             for label, value in bad.items():
                 if arg == "values":  # a sweep's values are a sequence
@@ -101,6 +104,13 @@ def test_bad_argument_raises_param_out_of_range(entry, arg, value):
     func, kwargs, _ = ENTRY_POINTS[entry]
     with pytest.raises(ParamOutOfRange):
         func(*POSITIONAL.get(entry, ()), **dict(kwargs, **{arg: value}))
+
+
+@pytest.mark.parametrize("func", [map_step, map_derivative], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("params", BAD.values(), ids=BAD)
+def test_map_functions_take_map_params(func, params):
+    with pytest.raises(ParamOutOfRange, match="^params must be a MapParams, got "):
+        func(params, 0.3)
 
 
 @pytest.mark.parametrize("values", [[[3.5]], 3.5, np.array([3.5, np.nan + 1j])],
@@ -127,6 +137,8 @@ PINNED = {
                     "branch mode must be a BranchMode, got 'alg1'"),
     "objective": (lambda: RefineConfig(objective="sum"),
                   "objective must be an Objective, got 'sum'"),
+    "config": (lambda: refine_sbox(AES, 5, 7, 0.5, 0.5, "sum"),
+               "config must be a RefineConfig, got 'sum'"),
     "iterate-counts": (lambda: iterate(LOGISTIC, 0.3, -1, 3),
                        "transient and n must be non-negative"),
     "lyapunov-n": (lambda: lyapunov(LOGISTIC, 0.3, 2, 0), "n must be >= 1"),

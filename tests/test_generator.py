@@ -337,30 +337,38 @@ def _assert_matches_reference(seed, case):
     assert stats == ref_stats
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        case=st.sampled_from(list(Objective)).flatmap(_refine_case))
 def test_refine_matches_sequential_reference(seed, case):
     _assert_matches_reference(seed, case)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       case=st.sampled_from(list(Objective)).flatmap(_refine_case))
-def test_refine_stop_test_matches_sequential_reference(seed, case):
-    # The budgets above end before the stop test's trigger; at 0 it tests
-    # every table the climb reaches, and a proof ends the climb.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gen, "_STOP_AFTER", 0)
-        _assert_matches_reference(seed, case)
+def _record_stop_tests(monkeypatch) -> list:
+    """Patch `_climb_view` to keep the stop test of each table the climb views."""
+    tests, view = [], gen._climb_view
+
+    def recorded_view(*args):
+        score, optimal = view(*args)
+        tests.append(optimal)
+        return score, optimal
+
+    monkeypatch.setattr(gen, "_climb_view", recorded_view)
+    return tests
+
+
+def _stop_test_counts(tests) -> tuple:
+    """(calls, runs): the stop tests called, and those evaluated, not answered from the cache."""
+    infos = [optimal.cache_info() for optimal in tests]
+    return sum(i.hits + i.misses for i in infos), sum(i.misses for i in infos)
 
 
 # Schedule entries the golden key's default-budget climb computes before it
 # proves that no swap can gain, out of 65,536.
 GOLDEN_ENTRIES = {
-    Objective.SUM_COORDINATE_NL: 7168,
-    Objective.MIN_COORDINATE_NL: 2560,
-    Objective.FULL_SPECTRUM_NL: 2304,
+    Objective.SUM_COORDINATE_NL: 5120,
+    Objective.MIN_COORDINATE_NL: 512,
+    Objective.FULL_SPECTRUM_NL: 256,
 }
 
 
@@ -392,6 +400,17 @@ def test_refine_stops_at_a_swap_local_optimum(monkeypatch, objective):
         for chunk in np.array_split(swapped, 128)])
     assert objectives.size == 32640
     assert objectives.max() <= stats.objective_final
+
+
+@pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
+def test_refine_runs_each_tables_stop_test_once(monkeypatch, objective):
+    # the golden key's climb ends on a proof, and no table is tested twice
+    tests = _record_stop_tests(monkeypatch)
+    key = KeySpec.from_dict(GOLDEN["key"])
+    box = initial_sbox(key.x0, key.a, key.b)
+    _, stats = refine_sbox(box, key.c, key.d, key.e, key.f, RefineConfig(objective=objective))
+    assert len(tests) == stats.accepted + 1
+    assert 1 <= _stop_test_counts(tests)[1] <= stats.accepted + 1
 
 
 # A swap of the table filled from (2.758, 1.676, 701113704) per objective,
@@ -449,15 +468,15 @@ TWO_GAINS = {
 
 
 @pytest.mark.parametrize("objective", list(Objective), ids=lambda o: o.value)
-@pytest.mark.parametrize("between, stop_tests", [(0, 0), (gen._STOP_AFTER, 1)],
+@pytest.mark.parametrize("between, calls", [(0, 2), (4 * _BLOCK, 6)],
                          ids=["across-a-block-edge", "stop-test-at-a-block-end"])
-def test_refine_hand_built_schedule_matches_reference(monkeypatch, objective, between,
-                                                      stop_tests):
-    # i == j entries, then the first gain as the last entry of block 0; then
-    # `between` i == j entries, so the second gain is the first entry of a
-    # block: block 1, or the block after the 2,048th quiet entry ends block
-    # 8, where the stop test must see that a gain is left.  Repeats of the
-    # second gain swap it back, so they are rejections.
+def test_refine_hand_built_schedule_matches_reference(monkeypatch, objective, between, calls):
+    # i == j entries, then the first gain as the last entry of block 0, so
+    # the stop test runs on a table that still has a gain; then `between`
+    # i == j entries, so the second gain is the first entry of a block:
+    # block 1, or block 5 after four quiet blocks whose stop test calls the
+    # climb answers from the cache.  Repeats of the second gain swap it
+    # back, so they are rejections.
     first, second = TWO_GAINS[objective]
     pairs = ([(k, k) for k in range(_BLOCK - 1)] + [first]
              + [(k % 256, k % 256) for k in range(between)] + [second] * _BLOCK)
@@ -465,20 +484,15 @@ def test_refine_hand_built_schedule_matches_reference(monkeypatch, objective, be
     blocks = [(i[k:k + _BLOCK], j[k:k + _BLOCK]) for k in range(0, len(pairs), _BLOCK)]
     monkeypatch.setattr(gen, "_swap_schedule", lambda *key: iter(blocks))
     monkeypatch.setattr(oracles, "swap_schedule_reference", lambda *key: pairs)
-    tests, view = [], gen._climb_view
-
-    def counted_view(*args):
-        score, candidates = view(*args)
-        return score, lambda: tests.append(None) or candidates()
-
-    monkeypatch.setattr(gen, "_climb_view", counted_view)
+    tests = _record_stop_tests(monkeypatch)
     box = initial_sbox(0.7, 1.3, 55_555_555)
     config = RefineConfig(budget=len(pairs), objective=objective)
     out, stats = refine_sbox(box, 11, 13, 0.4, 0.6, config)
     ref, ref_stats = oracles.refine_reference(box, 11, 13, 0.4, 0.6, config)
     assert out.tolist() == ref.tolist()
     assert stats == ref_stats
-    assert stats.accepted == 2 and len(tests) == stop_tests
+    # one stop test per block end, run once for each of the two tables reached
+    assert stats.accepted == 2 and _stop_test_counts(tests) == (calls, 2)
 
 
 @settings(max_examples=100, deadline=None)
