@@ -12,7 +12,7 @@ class SBoxKitError(Exception):
 
 
 class ParamOutOfRange(SBoxKitError, ValueError):
-    """An argument is not a number or enum member of the right kind, or lies outside its range."""
+    """An argument is not the number, enum member or object it should be, or is out of range."""
 
 
 def check_number(name: str, value, lo=None, hi=None, integer=False, hi_closed=False):

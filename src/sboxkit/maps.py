@@ -189,7 +189,7 @@ def map_step(params: MapParams, x: float) -> float:
     For AHYB the caller is expected to keep x in (0, 4); the returned value
     may still escape that interval (renormalize it before the next step).
     """
-    if not math.isfinite(x):
+    if not math.isfinite(check_number("x", x)):
         raise NonFiniteState(f"map_step received non-finite state {x!r}")
     a = check_member("params", params, MapParams).control
     if params.kind is MapKind.AHYB:
@@ -215,7 +215,7 @@ def map_step(params: MapParams, x: float) -> float:
 
 def map_derivative(params: MapParams, x: float) -> float:
     """d/dx of map_step at x, branch-consistent with map_step."""
-    if not math.isfinite(x):
+    if not math.isfinite(check_number("x", x)):
         raise NonFiniteState(f"map_derivative received non-finite state {x!r}")
     a = check_member("params", params, MapParams).control
     if params.kind is MapKind.AHYB:

@@ -52,6 +52,8 @@ ENTRY_POINTS = {
     "MapParams": (MapParams, dict(kind=MapKind.AHYB, control=1.0,
                                   branch_mode=BranchMode.EQUATION1), ()),
     "check_param": (check_param, dict(kind=MapKind.AHYB, control=1.0), ()),
+    "map_step": (map_step, dict(params=LOGISTIC, x=0.3), ()),
+    "map_derivative": (map_derivative, dict(params=LOGISTIC, x=0.3), ()),
     "iterate": (iterate, dict(params=LOGISTIC, x0=0.3, transient=2, n=3),
                 ("transient", "n")),
     "lyapunov": (lyapunov, dict(params=LOGISTIC, x0=0.3, transient=2, n=3),
@@ -106,13 +108,6 @@ def test_bad_argument_raises_param_out_of_range(entry, arg, value):
         func(*POSITIONAL.get(entry, ()), **dict(kwargs, **{arg: value}))
 
 
-@pytest.mark.parametrize("func", [map_step, map_derivative], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("params", BAD.values(), ids=BAD)
-def test_map_functions_take_map_params(func, params):
-    with pytest.raises(ParamOutOfRange, match="^params must be a MapParams, got "):
-        func(params, 0.3)
-
-
 @pytest.mark.parametrize("values", [[[3.5]], 3.5, np.array([3.5, np.nan + 1j])],
                          ids=["2-D", "scalar", "complex-array"])
 def test_sweep_values_must_be_a_1d_array_of_numbers(values):
@@ -137,6 +132,7 @@ PINNED = {
                     "branch mode must be a BranchMode, got 'alg1'"),
     "objective": (lambda: RefineConfig(objective="sum"),
                   "objective must be an Objective, got 'sum'"),
+    "params": (lambda: iterate("x", 0.3, 0, 2), "params must be a MapParams, got 'x'"),
     "config": (lambda: refine_sbox(AES, 5, 7, 0.5, 0.5, "sum"),
                "config must be a RefineConfig, got 'sum'"),
     "iterate-counts": (lambda: iterate(LOGISTIC, 0.3, -1, 3),
