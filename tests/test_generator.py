@@ -335,9 +335,10 @@ def _assert_matches_reference(seed, case):
     ref, ref_stats = oracles.refine_reference(box, key.c, key.d, key.e, key.f, config)
     assert out.tolist() == ref.tolist()
     assert stats == ref_stats
+    return stats
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        case=st.sampled_from(list(Objective)).flatmap(_refine_case))
 def test_refine_matches_sequential_reference(seed, case):
@@ -361,6 +362,21 @@ def _stop_test_counts(tests) -> tuple:
     """(calls, runs): the stop tests called, and those evaluated, not answered from the cache."""
     infos = [optimal.cache_info() for optimal in tests]
     return sum(i.hits + i.misses for i in infos), sum(i.misses for i in infos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(list(Objective)).flatmap(_refine_case))
+def test_refine_stop_test_matches_sequential_reference(seed, case):
+    # The climb matches the reference, which scores every entry, so a proof
+    # ends it only where no entry left gains; and only the last table's stop
+    # test can have found that proof, since a proof ends the climb.
+    with pytest.MonkeyPatch.context() as patch:
+        tests = _record_stop_tests(patch)
+        stats = _assert_matches_reference(seed, case)
+    assert len(tests) == stats.accepted + 1
+    evaluated = [optimal for optimal in tests[:-1] if optimal.cache_info().misses]
+    assert not any(optimal() for optimal in evaluated)
 
 
 # Schedule entries the golden key's default-budget climb computes before it
