@@ -158,14 +158,18 @@ def _cmd_lyapunov(args) -> int:
     if not sweep:
         if args.out is not None:
             raise ParamOutOfRange("--out writes sweeps only; pass --param-lo/--param-hi")
+        if args.steps is not None:
+            raise ParamOutOfRange("--steps counts sweep points only; pass --param-lo/--param-hi")
         value = lyapunov(MapParams(kind, args.param, branch_mode),
                          args.x0, args.transient, args.n)
         print(format_real(value))
         return 0
     # One `lyapunov` call per value rather than `maps.lyapunov_sweep`: the
     # benchmark's traced mode (perfbench/spans.py) times Lyapunov work by
-    # wrapping `cli.lyapunov`.  See ROADMAP item 1.
-    values = _param_grid(kind, args.param_lo, args.param_hi, args.steps, 0)
+    # wrapping `cli.lyapunov`, and a single orbit that closes an exact cycle
+    # stops stepping, which lockstep cannot.  See ROADMAP item 1.
+    steps = 50 if args.steps is None else args.steps
+    values = _param_grid(kind, args.param_lo, args.param_hi, steps, 0)
     exponents = [lyapunov(MapParams(kind, float(p), branch_mode),
                           args.x0, args.transient, args.n) for p in values]
     write_param_csv(args.out, "le", np.column_stack((values, exponents)))
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="single control-parameter value")
     l.add_argument("--param-lo", type=float, default=None)
     l.add_argument("--param-hi", type=float, default=None)
-    l.add_argument("--steps", type=int, default=50, help="sweep point count")
+    l.add_argument("--steps", type=int, default=None, help="sweep point count (default 50)")
     l.add_argument("--x0", type=float, default=0.3)
     l.add_argument("--transient", type=int, default=1000)
     l.add_argument("--n", type=int, default=100000, help="samples per estimate")

@@ -12,7 +12,7 @@ int, float, bool and None.  Floats render as `json` renders them
 (`float.__repr__`, NaN, Infinity, -Infinity).  Any other type, a numpy
 scalar included, raises TypeError rather than being rendered differently.
 CSV numbers are written with 17 significant digits so they parse back to
-the identical double.
+the identical double; a periodic run of a scan is rendered once per period.
 """
 
 import contextlib
@@ -120,21 +120,52 @@ def markdown_row(report: MetricReport, path) -> str:
     return "| " + Path(str(path)).name + " | " + " | ".join(cells) + " |"
 
 
+def _period(values: np.ndarray) -> int:
+    """The smallest p >= 1 with values[i] and values[i + p] equal bit for bit for every i.
+
+    ``len(values)`` if there is no smaller one.  Bitwise, so 0.0 and -0.0
+    (or two NaNs with other payloads) never match.
+    """
+    bits = np.asarray(values, np.float64).view(np.int64)
+    if np.count_nonzero(bits == bits[0]) > 1:  # cheap for a run that never repeats its first value
+        for p in (np.flatnonzero(bits[1:] == bits[0]) + 1).tolist():
+            if (bits[p:] == bits[:-p]).all():
+                return p
+    return len(values)
+
+
 def write_param_csv(path, column: str, points, run: int = 1) -> None:
     """Write (param, value) rows as a ``param,<column>`` CSV to `path`, or stdout.
 
     `points` is an (N, 2) array whose rows come in runs of `run` rows that
-    share one parameter, as a bifurcation scan's do.  Numbers are rendered
-    as by `format_real`; each run's parameter is formatted once, each run
-    is rendered by one `%` operation, and the output is written run by run
-    rather than joined into one string.
+    share one parameter, as a bifurcation scan's do; a `run` below 1 counts
+    as 1.  Numbers are rendered as by `format_real`; each run's parameter is
+    formatted once, each run is rendered by `%` operations, and the output
+    is written run by run rather than joined into one string.
+
+    A run of more than one row whose values repeat with a period
+    (``_period``: the smallest shift under which they are equal bit for
+    bit, so 0.0 and -0.0 never match) has one period rendered and its text
+    repeated, then the partial last period rendered; equal bits give equal
+    text, so the bytes are those of rendering every row.  In the default
+    scans of the benchmark's ranges (x0 0.37), 68% of logistic samples and
+    24% of sine samples repeat an earlier sample of their run, and no AHYB
+    sample does.  In process on a 2-core x86-64 machine (Python 3.11, numpy
+    2.4; alternating with rendering every row), such a scan rendered in
+    0.42-0.46x the time for the logistic map and 0.80-0.92x for the sine
+    map; AHYB scans, where the search finds nothing, took 2-5% longer.
     """
     with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as out:
         out.write(f"param,{column}\n")
-        for start in range(0, len(points), max(run, 1)):
+        run = max(run, 1)
+        for start in range(0, len(points), run):
             block = points[start:start + run]
             line = format_real(block[0, 0]) + ",%.17g\n"
-            out.write(line * len(block) % tuple(block[:, 1].tolist()))
+            values = block[:, 1]
+            period = _period(values) if run > 1 else len(values)
+            whole, part = divmod(len(values), period)
+            text = line * period % tuple(values[:period].tolist())
+            out.write(text * whole + line * part % tuple(values[:part].tolist()))
 
 
 def nl_summary_line(report: MetricReport) -> str:

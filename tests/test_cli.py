@@ -508,6 +508,21 @@ def test_lyapunov_out_needs_a_sweep(tmp_path):
     assert not out.exists()
 
 
+def test_lyapunov_steps_needs_a_sweep():
+    # --steps counts a sweep's points; with --param it is rejected as --out is
+    res = run_cli("lyapunov", "--map", "logistic", "--param", "3.9", "--n", "100",
+                  "--steps", "7")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == ("sboxkit: error: --steps counts sweep points only; "
+                          "pass --param-lo/--param-hi\n")
+    # a sweep still takes 50 points when --steps is omitted
+    res = run_cli("lyapunov", "--map", "logistic", "--param-lo", "3", "--param-hi", "4",
+                  "--n", "10", "--transient", "0")
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 1 + 50
+
+
 def test_analyze_json_and_md_are_exclusive(aes_grid):
     res = run_cli("analyze", aes_grid, "--json", "--md")
     assert res.returncode == 1

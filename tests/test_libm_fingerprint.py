@@ -4,7 +4,8 @@
 of the libm calls behind the generator and the Lyapunov estimates: a seeded
 sample of the ``pow(x, 0.9)`` calls of the golden key's fill, of the
 ``pow(x, 2.5)``, ``log10``, ``log`` and ``cos`` calls of its swap schedule,
-and of the ``log`` calls of Lyapunov terms, plus every call among them whose
+of the ``log`` calls of Lyapunov terms and of the sine map's step
+``sin(pi * x)`` along its orbits, plus every call among them whose
 result this libm does not round correctly (a correctly rounded libm gives
 other bytes there).  The generator gives the golden bytes on any platform
 whose libm returns these results; where it does not, the test below names
@@ -42,6 +43,7 @@ CALLS = {
     "log": math.log,
     "cos": math.cos,
     "log of Lyapunov terms": math.log,
+    "sin(pi * x)": lambda x: math.sin(math.pi * x),
 }
 
 # Schedule entries of the golden key that the fingerprint samples.  The
@@ -94,8 +96,12 @@ def _arguments():
                 params = MapParams(kind, a, mode)
                 d = [abs(map_derivative(params, x)) for x in iterate(params, 0.37, 100, 50)]
                 terms += [v for v in d if v >= DERIVATIVE_FLOOR]
+
+    # the sine map's step, sin(pi * x), along orbits across its benchmark range
+    sine = [x for beta in np.linspace(0.5, 4.0, 5).tolist()
+            for x in iterate(MapParams(MapKind.SINE, beta), 0.37, 100, 50).tolist()]
     return {"pow(x, 0.9)": fill, "pow(x, 2.5)": schedule, "log10": schedule, "log": schedule,
-            "cos": schedule, "log of Lyapunov terms": terms}
+            "cos": schedule, "log of Lyapunov terms": terms, "sin(pi * x)": sine}
 
 
 def make_fingerprint() -> dict:

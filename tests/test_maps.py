@@ -616,12 +616,89 @@ def test_orbit_kernel_matches_reference_loops(case, transient, n, cells):
     params, x0 = case
     got = oracles.call_outcome(lambda: iterate(params, x0, transient, n))
     assert got == oracles.call_outcome(lambda: oracles.iterate_reference(params, x0, transient, n))
-    # chunks as small as one state carry the Lyapunov sum and the skip count
-    # across chunk boundaries
+    # chunks and stretches as small as one state carry the Lyapunov sum, the
+    # skip count and the error checks across their boundaries
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_CHUNK_CELLS", cells)
+        patch.setattr(maps, "_STRETCH", cells)
+        got = oracles.call_outcome(lambda: lyapunov(params, x0, transient, n))
+    assert got == oracles.call_outcome(lambda: oracles.lyapunov_reference(params, x0, transient, n))
+
+
+# ---------------------------------------------------------------------------
+# exact cycles of single Lyapunov orbits against the reference loop
+
+def _cycle(params, x0):
+    """(time the orbit from `x0` enters its cycle, period), comparing states bit for bit."""
+    seen, x = {}, x0
+    for t in range(20_000):
+        if x.hex() in seen:
+            return seen[x.hex()], t - seen[x.hex()]
+        seen[x.hex()] = t
+        x = oracles._advance(params, x)
+    raise AssertionError("no cycle within 20,000 steps")
+
+
+# Orbits that close a cycle, with the period they close on: the logistic map
+# at 2.4, 3.2, 3.83 and 3.3 (periods 1, 2, 3 and 6), a sine orbit (period 2),
+# and a logistic orbit of period 8 through 0.5, where f' = 0 is skipped once a
+# period, so that the skips of the partial last period count.
+CYCLES = {
+    "period-1": (logistic(2.4), 0.37, 1),
+    "period-2": (logistic(3.2), 0.37, 2),
+    "period-3": (logistic(3.83), 0.37, 3),
+    "period-6": (logistic(3.3), 0.37, 6),
+    "sine-period-2": (sine(0.7), 0.37, 2),
+    "skip-each-period": (logistic(3.662192503686577), 0.5, 8),
+}
+
+
+@pytest.mark.parametrize("name", list(CYCLES))
+def test_lyapunov_cycles_match_reference(name):
+    params, x0, period = CYCLES[name]
+    begin, p = _cycle(params, x0)
+    assert p == period
+    close = begin + p  # the first state that revisits one
+    # the cycle closes in the transient, at the window start or mid-window;
+    # a stretch ends at its first revisit, one state before or after it,
+    # spans one period, or a third of the time to close
+    for transient in (close + 5, close, begin, begin // 2, 0):
+        for stretch in (close, close - 1, close + 1, p, close // 3, maps._STRETCH):
+            n = close + 5 * p + 2  # ends in a partial period
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(maps, "_STRETCH", max(1, stretch))
+                got = oracles.call_outcome(lambda: lyapunov(params, x0, transient, n))
+            want = oracles.call_outcome(lambda: oracles.lyapunov_reference(params, x0, transient, n))
+            assert got == want, (transient, stretch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(control=st.one_of(st.floats(2.4, 3.57), st.floats(3.828, 3.841), st.floats(0.001, 4.0)),
+       kind=st.sampled_from([MapKind.LOGISTIC, MapKind.SINE]), x0=st.floats(0.001, 0.999),
+       transient=st.integers(0, 400), n=st.integers(1, 1500),
+       stretch=st.one_of(st.just(maps._STRETCH), st.integers(1, 64)), cells=chunk_cells)
+def test_lyapunov_cycle_tiling_matches_reference(control, kind, x0, transient, n, stretch, cells):
+    # mostly periodic logistic windows, where orbits close a cycle early
+    params = MapParams(kind, control)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(maps, "_STRETCH", stretch)
         patch.setattr(maps, "_CHUNK_CELLS", cells)
         got = oracles.call_outcome(lambda: lyapunov(params, x0, transient, n))
     assert got == oracles.call_outcome(lambda: oracles.lyapunov_reference(params, x0, transient, n))
+
+
+def test_lyapunov_does_not_tile_a_cycle_that_reseeds(monkeypatch):
+    # With the reseed value moved to 4/3, every AHYB step at A = 1 folds 4/3
+    # to 0 and reseeds it to 4/3: a cycle of period 1 that warns at each step,
+    # found after each stretch of 4 steps.
+    monkeypatch.setattr(maps, "_STRETCH", 4)
+    monkeypatch.setattr(maps, "RESEED", 4.0 / 3.0)
+    monkeypatch.setattr(oracles, "RESEED", 4.0 / 3.0)
+    for mode in BranchMode:
+        got = oracles.call_outcome(lambda: lyapunov(ahyb(1.0, mode), 4.0 / 3.0, 3, 40))
+        assert got == oracles.call_outcome(
+            lambda: oracles.lyapunov_reference(ahyb(1.0, mode), 4.0 / 3.0, 3, 40))
+        assert len(got[1]) == 43
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -48,6 +50,51 @@ def test_param_csv_renders_special_values_and_a_short_last_run(capsys):
         "nan,nan", "nan,4.9406564584124654e-324", "nan,1.0000000000000001e+300",
         "4.9406564584124654e-324,-1e-300", "4.9406564584124654e-324,0.33333333333333331",
     ]
+
+
+def _rendered_rows(points):
+    return "".join(f"{format_real(p)},{format_real(v)}\n" for p, v in points)
+
+
+def test_param_csv_renders_periodic_runs(capsys):
+    # runs of five rows: period 1; period 2 with a partial last period; 0.0
+    # and -0.0, which must not stand in for each other; a repeated value
+    # that makes no period; a trailing short run
+    values = [0.6, 0.6, 0.6, 0.6, 0.6,
+              0.25, 1 / 3, 0.25, 1 / 3, 0.25,
+              0.0, -0.0, 0.0, -0.0, -0.0,
+              0.5, 0.75, 0.5, 0.875, 0.5,
+              2.0, 2.0]
+    params = [1.0] * 5 + [2.0] * 5 + [3.0] * 5 + [4.0] * 5 + [5.0] * 2
+    points = np.column_stack((params, values))
+    write_param_csv(None, "x", points, run=5)
+    out = capsys.readouterr().out
+    assert out == "param,x\n" + _rendered_rows(points)
+    assert out.splitlines()[1:] == [
+        "1,0.59999999999999998", "1,0.59999999999999998", "1,0.59999999999999998",
+        "1,0.59999999999999998", "1,0.59999999999999998",
+        "2,0.25", "2,0.33333333333333331", "2,0.25", "2,0.33333333333333331", "2,0.25",
+        "3,0", "3,-0", "3,0", "3,-0", "3,-0",
+        "4,0.5", "4,0.75", "4,0.5", "4,0.875", "4,0.5",
+        "5,2", "5,2",
+    ]
+    # one row per run: each row is rendered on its own
+    write_param_csv(None, "le", points[5:8])
+    assert capsys.readouterr().out.splitlines() == [
+        "param,le", "2,0.25", "2,0.33333333333333331", "2,0.25"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1 / 3, 5e-324, np.inf, np.nan]),
+                       max_size=40),
+       run=st.integers(0, 12))
+def test_param_csv_matches_per_row_rendering(values, run):
+    # a small pool of values, so that runs repeat and are often periodic
+    points = np.column_stack((np.arange(len(values)) // max(run, 1) * 0.5, values))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_param_csv(None, "x", points, run=run)
+    assert out.getvalue() == "param,x\n" + _rendered_rows(points)
 
 
 def test_param_csv_without_rows_is_header_only(capsys):
